@@ -10,9 +10,7 @@
 # noisy hosts) and fails on the same >20% regression guard without ever
 # rewriting the JSON; `make bench-check-serial` replays only the
 # serial-component workloads (the strict CI gate — pool-backed rows are
-# core-count-bound and stay advisory); `make bench-check-overlap` replays
-# only the overlapped-reduction streaming rows (advisory for the same
-# reason).
+# core-count-bound and stay advisory).
 
 # `make trace-smoke` runs a small `compress --trace` end to end and
 # validates the exported Chrome trace-event JSON (cheap CI blocking step).
@@ -20,7 +18,7 @@
 PYTHON ?= python
 
 .PHONY: test test-fast test-parallel bench bench-check bench-check-serial \
-	bench-check-overlap trace-smoke
+	trace-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -39,10 +37,6 @@ bench-check:
 
 bench-check-serial:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_hotpaths.py --check-only --serial-only
-
-bench-check-overlap:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf_hotpaths.py --check-only \
-		--components overlap_reduce
 
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/trace_smoke.py

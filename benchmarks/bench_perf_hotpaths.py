@@ -43,15 +43,6 @@ Measured components per ``(n, d, k)`` workload:
   so the ratio times the async machinery itself: at workers=1 it must not
   fall below ~1x (the acceptance gate — overlap may not cost anything),
   and extra workers add whatever the GIL releases (nothing on one core).
-* ``overlap_reduce`` — the overlapped-reduction streaming pipeline (every
-  merge-&-reduce fold submitted to the async pool the moment both inputs
-  exist, chained on their futures) vs the identical async pipeline with
-  ``overlap_reduces=False`` (leaves overlap, every reduce on the host
-  thread — the PR-4 behaviour).  Bit-identical coresets; the ratio times
-  the removal of the host-thread reduce floor, and the rows additionally
-  record ``host_reduce_seconds`` (optimized) next to
-  ``host_reduce_seconds_baseline`` so the trajectory shows the floor
-  itself shrinking, not just the ratio.
 * ``quadtree_fit_incr`` — the constant-factor sweep of the fit (incremental
   compact keys off the one-shot digit matrix, packbits pattern LUTs,
   buffer-reusing CSR grouping) vs the frozen PR-1..4 fit
@@ -63,10 +54,6 @@ Measured components per ``(n, d, k)`` workload:
   (:func:`~repro.reference.presweep_hotpath.presweep_kmeans`).
   Bit-identical results; the ratio times pure bound quality and
   constant-factor work per iteration.
-* ``merge_reduce_cached_bound`` — the streaming pipeline with the
-  per-stream crude-cost-bound cache (one Algorithm-2 binary search per
-  refresh, shared with the spread cache's signal) vs the identical
-  pipeline with the cache disabled (one search per compression).
 * ``windowed_stream_slide`` / ``windowed_stream_decay`` — the dashboard
   pattern (one window query after every block) on the windowed
   merge-&-reduce tree (incremental stamped buckets, folds over compressed
@@ -104,9 +91,8 @@ Measured components per ``(n, d, k)`` workload:
   sides so the ratio times the probe-dominated fold itself; same fallback
   demotion.  ``--components native`` selects all four compiled-tier rows.
 
-Multi-worker rows (``parallel_shard`` / ``async_stream`` /
-``overlap_reduce`` beyond one worker) record a ``cores`` field and are
-marked ``informational`` when the
+Multi-worker rows (``parallel_shard`` / ``async_stream`` beyond one
+worker) record a ``cores`` field and are marked ``informational`` when the
 recording machine has fewer cores than the row's worker count: a pool
 cannot beat serial execution without cores to run on, so such rows are
 excluded from the regression guard instead of hiding behind a widened
@@ -201,7 +187,6 @@ REGRESSION_TOLERANCE = 0.20
 COMPONENT_TOLERANCE = {
     "parallel_shard": 1.00,
     "async_stream": 1.00,
-    "overlap_reduce": 1.00,
     "windowed_stream_slide": 0.50,
     "windowed_stream_decay": 0.50,
 }
@@ -209,7 +194,7 @@ COMPONENT_TOLERANCE = {
 #: Components whose rows depend on real hardware concurrency: the ``k``
 #: column carries the worker count, and rows recorded with fewer cores than
 #: workers are stamped ``informational``.
-PARALLEL_COMPONENTS = {"parallel_shard", "async_stream", "overlap_reduce"}
+PARALLEL_COMPONENTS = {"parallel_shard", "async_stream"}
 
 #: Components whose optimized side is the compiled kernel tier.  Rows are
 #: stamped ``informational`` when the tier resolves to fallback mode (no
@@ -275,7 +260,6 @@ QUICK_WORKLOADS = [
     ("quadtree_fit_incr_n20k_d30", 20_000, 30, 0, "quadtree_fit_incr"),
     ("lloyd_fused_n80k_d10_k20", 80_000, 10, 20, "lloyd_fused"),
     ("lloyd_fused_n100k_d10_k20", 100_000, 10, 20, "lloyd_fused"),
-    ("merge_reduce_cached_bound_n40k_d10_k10", 40_000, 10, 10, "merge_reduce_cached_bound"),
     # Windowed streams, queried after every block; the naive
     # recompute-from-window oracle is the baseline.
     ("windowed_stream_slide_n40k_d10_k10", 40_000, 10, 10, "windowed_stream_slide"),
@@ -295,11 +279,6 @@ QUICK_WORKLOADS = [
     # The k column carries the async worker count for these rows.
     ("async_stream_n40k_d10_w1", 40_000, 10, 1, "async_stream"),
     ("async_stream_n40k_d10_w2", 40_000, 10, 2, "async_stream"),
-    # The k column carries the async worker count; overlapped reduces vs
-    # the leaf-only-async pipeline at the same worker count.
-    ("overlap_reduce_n40k_d10_w1", 40_000, 10, 1, "overlap_reduce"),
-    ("overlap_reduce_n40k_d10_w2", 40_000, 10, 2, "overlap_reduce"),
-    ("overlap_reduce_n40k_d10_w4", 40_000, 10, 4, "overlap_reduce"),
 ]
 FULL_EXTRA = [
     ("fast_kmeans_pp_n100k_d10_k200", 100_000, 10, 200, "fast_kmeans_pp"),
@@ -466,19 +445,6 @@ def run_workload(
         )
         extras["folds"] = CRUDE_BOUND_FOLDS
         extras.update(_kernel_tier_extras("crude_bound_probe"))
-    elif component == "merge_reduce_cached_bound":
-        m = 40 * k
-        sampler = FastCoreset(k=k, seed=0)
-
-        def _run_stream(cache: bool) -> None:
-            StreamingCoresetPipeline(
-                sampler=sampler, coreset_size=m, seed=1, cache_cost_bound=cache
-            ).run(DataStream.with_block_count(points, STREAM_BLOCKS))
-
-        optimized = _timed(lambda: _run_stream(True), repeats)
-        # Baseline: the identical pipeline minus the cost-bound cache (one
-        # Algorithm-2 binary search per compression).
-        seed_time = _best_of(lambda: _run_stream(False), repeats)
     elif component in ("windowed_stream_slide", "windowed_stream_decay"):
         m = 40 * k
         sampler = FastCoreset(k=k, seed=0)
@@ -606,41 +572,6 @@ def run_workload(
         extras["host_reduce_seconds_baseline"] = round(
             diagnostics["baseline"]["host_reduce_seconds"], 6
         )
-    elif component == "overlap_reduce":
-        workers = k  # the k column doubles as the async worker count
-        m = 40 * PARALLEL_K
-        sampler = FastCoreset(k=PARALLEL_K, seed=0)
-        diagnostics = {}
-
-        def _run_overlap_stream(overlap: bool, slot: str) -> None:
-            # Both sides run the identical async thread-pool pipeline; the
-            # only difference is where reduces execute, so the ratio times
-            # the host-thread reduce floor and nothing else.
-            executor = ThreadAsyncExecutor(workers=workers)
-            try:
-                pipeline = StreamingCoresetPipeline(
-                    sampler=sampler,
-                    coreset_size=m,
-                    seed=1,
-                    executor=executor,
-                    prefetch_batches=2,
-                    overlap_reduces=overlap,
-                )
-                pipeline.run(DataStream.with_block_count(points, STREAM_BLOCKS))
-            finally:
-                executor.close()
-            diagnostics[slot] = pipeline.last_diagnostics
-
-        optimized = _timed(lambda: _run_overlap_stream(True, "optimized"), repeats)
-        # The "seed" column is the leaf-only-async pipeline (host reduces).
-        seed_time = _best_of(lambda: _run_overlap_stream(False, "baseline"), repeats)
-        extras["host_reduce_seconds"] = round(
-            diagnostics["optimized"]["host_reduce_seconds"], 6
-        )
-        extras["host_reduce_seconds_baseline"] = round(
-            diagnostics["baseline"]["host_reduce_seconds"], 6
-        )
-        extras["reduces_offloaded"] = int(diagnostics["optimized"]["reduces_offloaded"])
     elif component == "parallel_shard":
         workers = k  # the k column doubles as the worker count
         builder = ShardedCoresetBuilder(

@@ -96,11 +96,12 @@ What is cached where (spread and cost-bound hints)
 * :class:`~repro.streaming.merge_reduce.MergeReduceTree` keeps one cached
   spread *and* one cached crude cost upper bound (Algorithm 2, served to
   :func:`repro.core.spread_reduction.reduce_spread` through the sampler's
-  ``cost_bound`` hint) per stream.  Both caches sit behind the same refresh
-  signal — a bounding-box diagonal growth past the configured factor, or
-  the staleness interval — and a refresh recomputes both together, so a
-  stream pays the pairwise subsample and the dyadic binary search once per
-  distribution shift instead of once per compression.
+  ``cost_bound`` hint) per stream, both on whenever ``share_stream_state``
+  is.  Both caches sit behind the same refresh signal — the bounding-box
+  diagonal growing or shrinking by ``SPREAD_REFRESH_FACTOR``, or the
+  ``SPREAD_REFRESH_INTERVAL`` staleness cap — and a refresh recomputes both
+  together, so a stream pays the pairwise subsample and the dyadic binary
+  search once per distribution shift instead of once per compression.
 """
 
 from __future__ import annotations

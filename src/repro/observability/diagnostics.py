@@ -17,14 +17,21 @@ Documented keys:
     Total merge-reduce fold count (streaming pipeline only).
 ``spread_refreshes`` / ``cost_bound_refreshes``
     How often the shared spread / Algorithm-2 crude-cost caches were
-    recomputed from the refresh signal (streaming pipeline only).
+    recomputed from the refresh signal (streaming pipeline only; both stay
+    zero with ``share_stream_state=False``, the cost bound also for
+    samplers that do not consume it).
 ``reduces_offloaded``
     Reduce compressions shipped to the async pool instead of folded on
-    the host.
+    the host: every carry-chain reduce of a non-windowed stream on an
+    async executor, and the sharded builder's final re-compression there.
 ``host_reduces`` / ``host_reduce_seconds``
-    Folds the host performed itself, and the wall-clock they took.
+    Folds the host performed itself, and the wall-clock they took (the
+    synchronous paths, windowed folds and queries, and a stream's final
+    re-compression).
 ``pending_high_water``
-    Maximum number of in-flight pool tasks observed.
+    Maximum number of in-flight pool tasks observed: a stream's queued
+    leaf futures, or a sharded build's in-flight shards (async paths
+    only).
 ``blocks_seen``
     Stream blocks ingested (streaming pipeline only).
 ``blocks_expired``

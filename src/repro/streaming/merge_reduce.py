@@ -62,6 +62,16 @@ from repro.utils.rng import (
 )
 from repro.utils.validation import check_integer
 
+#: Bounding-box diagonal ratio (grown or shrunk) that triggers a fresh
+#: spread / cost-bound estimate.
+SPREAD_REFRESH_FACTOR = 2.0
+#: Hard cap on hint staleness, in compressions.  The box cannot see the
+#: spread grow through *shrinking minimum distances* (near-duplicate points
+#: arriving late inside the established box), so a periodic resync bounds
+#: how long a stream can run on an underestimate; at this interval the
+#: amortised cost of the estimate stays negligible.
+SPREAD_REFRESH_INTERVAL = 32
+
 
 @dataclass
 class MergeReduceTree:
@@ -78,38 +88,20 @@ class MergeReduceTree:
         Randomness; every compression receives a fresh seed derived from it.
     share_stream_state:
         Share per-stream work across compressions (default).  The tree keeps
-        a running bounding box of everything it has seen and a cached spread
-        estimate; every compression receives the cached value through the
-        sampler's ``spread`` hook instead of re-estimating it from scratch
-        (the dominant fixed cost of a :class:`~repro.core.fast_coreset.FastCoreset`
-        fit on a small block).  Because only the *logarithm* of the spread is
-        consumed downstream, the cache is refreshed only when the bounding
-        box diagonal grows past ``spread_refresh_factor`` times its size at
-        the previous estimate.  Disabling the flag restores the exact
-        per-block-estimate behaviour (used as the baseline by the perf
-        harness and the distortion-parity tests).
-    cache_cost_bound:
-        Also cache the Algorithm-2 crude cost upper bound behind the *same*
-        refresh signal (default).  For samplers that declare
-        ``consumes_cost_bound`` (a :class:`~repro.core.fast_coreset.FastCoreset`
-        with spread reduction enabled), every compression then skips its
-        per-call dyadic binary search; the bound is recomputed together
-        with the spread whenever the bounding box grows or the staleness
-        interval expires — a refresh resets both caches at once.  The
-        bound, like the spread, only steers grid granularities whose
-        guarantees tolerate polynomial slack, so a bound measured on an
-        earlier block of the same stream remains valid between refreshes.
-        Ignored when ``share_stream_state`` is disabled.
-    spread_refresh_factor:
-        Bounding-box growth ratio that triggers a fresh estimate.
-    spread_refresh_interval:
-        Hard cap on staleness: a fresh estimate is taken at least every this
-        many compressions even when the bounding box is stable.  The box
-        cannot see the spread grow through *shrinking minimum distances*
-        (e.g. near-duplicate points arriving late in the stream inside the
-        established box), so the periodic resync bounds how long such a
-        stream can run on an underestimate; at the default interval the
-        amortised cost of the (blocked) estimate stays negligible.
+        a running bounding box of everything it has seen, a cached spread
+        estimate and — for samplers that declare ``consumes_cost_bound`` (a
+        :class:`~repro.core.fast_coreset.FastCoreset` with spread reduction)
+        — a cached Algorithm-2 crude cost upper bound.  Every compression
+        receives the cached values through the sampler's ``spread`` /
+        ``cost_bound`` hooks instead of re-estimating them from scratch (the
+        dominant fixed cost of a fit on a small block).  Both only steer grid
+        granularities whose guarantees tolerate polynomial slack, so one
+        refresh signal serves both caches: a fresh estimate is taken when the
+        bounding-box diagonal moves past :data:`SPREAD_REFRESH_FACTOR` times
+        its size at the previous estimate, or after
+        :data:`SPREAD_REFRESH_INTERVAL` compressions.  Disabling the flag
+        restores the exact per-block-estimate behaviour (the baseline of the
+        distortion-parity tests).
     spawn_seeds:
         Seed-derivation mode.  ``False`` (default) draws one seed per
         compression from a sequential generator — the historical behaviour,
@@ -122,25 +114,21 @@ class MergeReduceTree:
         compression) requires, and what the streaming pipeline enables when
         it is given an executor.
     pending_limit:
-        Bound on the number of *unfolded* leaf futures the tree may hold
+        Bound on the number of in-flight leaf futures the tree may hold
         when driven by an :class:`~repro.parallel.executor.AsyncExecutor`
-        (the overlap window).  ``None`` folds everything a batch submitted
+        (the overlap window).  ``None`` awaits everything a batch submitted
         before :meth:`add_blocks` returns — no overlap across batches.  The
-        limit changes memory and wall-clock only: folds always happen in
-        arrival order, so the coreset is independent of it.
-    overlap_reduces:
-        Route *reduce* compressions through the async executor as well
-        (default).  The carry chain becomes future-aware: level slots may
-        hold in-flight futures, the host only walks carry logic, and each
-        reduce (``merge + sampler.sample``) is submitted the moment both of
-        its inputs exist — from a completion callback when an input is
-        still in flight.  Legal because reduce seeds are a pure function of
-        the reduce *index* (:meth:`_reduce_seed`), which the host assigns
-        during the walk in arrival order, never of scheduling; the result
-        is therefore bit-identical to the synchronous fold.  ``False``
-        restores the PR-4 behaviour (only leaves overlap; every reduce runs
-        on the host thread when its leaf folds).  Ignored on the
-        synchronous paths.
+        limit changes memory and wall-clock only, never the coreset.
+
+    With an :class:`~repro.parallel.executor.AsyncExecutor` the reduces are
+    overlapped too: the carry chain is future-aware, level slots may hold
+    in-flight futures, the host only walks carry logic, and each reduce
+    (``merge + sampler.sample``) is submitted the moment both of its inputs
+    exist — from a completion callback when an input is still in flight.
+    Legal because reduce seeds are a pure function of the reduce *index*
+    (:meth:`_reduce_seed`), which the host assigns during the walk in
+    arrival order, never of scheduling; the result is therefore
+    bit-identical to the synchronous fold.
 
     Attributes
     ----------
@@ -148,12 +136,13 @@ class MergeReduceTree:
         ``levels[l]`` holds the at-most-one compression currently stored at
         level ``l`` — a :class:`~repro.core.coreset.Coreset`, or an
         in-flight :class:`~concurrent.futures.Future` resolving to one
-        when reduces are overlapped.
+        on the asynchronous path.
     reductions:
         Number of reduce operations performed so far (diagnostics).
-    spread_refreshes:
-        Number of spread estimates actually computed (diagnostics; at most
-        one per compression, exactly one for a stationary stream).
+    spread_refreshes / cost_bound_refreshes:
+        Number of spread / cost-bound estimates actually computed
+        (diagnostics; at most one per compression, exactly one for a
+        stationary stream).
     reduces_offloaded / host_reduces / host_reduce_seconds:
         Where reduce compressions ran: submitted to the executor vs run on
         the host thread, and the host-thread seconds they cost (includes
@@ -169,9 +158,6 @@ class MergeReduceTree:
     coreset_size: int
     seed: SeedLike = None
     share_stream_state: bool = True
-    cache_cost_bound: bool = True
-    spread_refresh_factor: float = 2.0
-    spread_refresh_interval: int = 32
     levels: Dict[int, Union[Coreset, Future]] = field(default_factory=dict)
     reductions: int = 0
     blocks_seen: int = 0
@@ -179,7 +165,6 @@ class MergeReduceTree:
     cost_bound_refreshes: int = 0
     spawn_seeds: bool = False
     pending_limit: Optional[int] = None
-    overlap_reduces: bool = True
     reduces_offloaded: int = 0
     host_reduces: int = 0
     host_reduce_seconds: float = 0.0
@@ -187,12 +172,10 @@ class MergeReduceTree:
 
     def __post_init__(self) -> None:
         self.coreset_size = check_integer(self.coreset_size, name="coreset_size")
-        #: Leaf compressions submitted to an async executor but not yet
-        #: drained, as ``(future, spread_hint, cost_bound_hint, folded)`` in
-        #: arrival order.  ``folded`` marks entries whose carry walk already
-        #: happened (overlapped-reduce mode) — draining them is pure
-        #: backpressure, not a fold.
-        self._pending: Deque[Tuple[Future, Optional[float], Optional[float], bool]] = deque()
+        #: Leaf futures submitted to an async executor but not yet awaited,
+        #: in arrival order.  Their carry walk already happened; draining
+        #: them is pure backpressure on in-flight leaf memory.
+        self._pending: Deque[Future] = deque()
         self._generator = as_generator(self.seed)
         # The shared-state caches draw from their own derived generator
         # (seeded here unconditionally) so that toggling
@@ -203,6 +186,8 @@ class MergeReduceTree:
         self._spawn_root = as_seed_sequence(self.seed) if self.spawn_seeds else None
         self._bounds_low: Optional[np.ndarray] = None
         self._bounds_high: Optional[np.ndarray] = None
+        # Both stay ``None`` without ``share_stream_state``; the bound also
+        # stays ``None`` for samplers that do not consume it.
         self._cached_spread: Optional[float] = None
         self._cached_cost_bound: Optional[float] = None
         self._cached_diameter: float = 0.0
@@ -220,23 +205,20 @@ class MergeReduceTree:
             self._bounds_low = np.minimum(self._bounds_low, low)
             self._bounds_high = np.maximum(self._bounds_high, high)
 
-    def _wants_cost_bound(self) -> bool:
-        return (
-            self.cache_cost_bound
-            and bool(getattr(self.sampler, "consumes_cost_bound", False))
-            and getattr(self.sampler, "k", None) is not None
-        )
-
     def _stream_hints(
         self, points: np.ndarray
     ) -> Tuple[Optional[float], Optional[float]]:
-        """Cached (spread, crude cost bound), refreshed on bounding-box growth.
+        """Cached (spread, crude cost bound), refreshed when the box moves.
 
         The two caches share one staleness signal: whenever the bounding box
-        diagonal outgrows the configured factor (or the refresh interval
-        expires) *both* are recomputed from the triggering block — spread
+        diagonal grows or shrinks by :data:`SPREAD_REFRESH_FACTOR` (or
+        :data:`SPREAD_REFRESH_INTERVAL` expires, or a caller emptied the
+        caches) *both* are recomputed from the triggering block — spread
         first, then the Algorithm-2 bound off that fresh spread, drawing
-        from the dedicated cache generator in that fixed order.
+        from the dedicated cache generator in that fixed order.  The box of
+        the append-only tree only grows; a windowed tree's shrinks once
+        blocks expire, and a spread measured on a much larger window
+        overestimates the live one.
         """
         if not self.share_stream_state:
             return None, None
@@ -244,12 +226,11 @@ class MergeReduceTree:
             return None, None
         diameter = float(np.linalg.norm(self._bounds_high - self._bounds_low))
         self._compressions_since_refresh += 1
-        wants_bound = self._wants_cost_bound()
         stale = (
             self._cached_spread is None
-            or (wants_bound and self._cached_cost_bound is None)
-            or diameter > self.spread_refresh_factor * self._cached_diameter
-            or self._compressions_since_refresh > self.spread_refresh_interval
+            or diameter > SPREAD_REFRESH_FACTOR * self._cached_diameter
+            or diameter * SPREAD_REFRESH_FACTOR < self._cached_diameter
+            or self._compressions_since_refresh > SPREAD_REFRESH_INTERVAL
         )
         if stale:
             with _obs.span("stream.hint_refresh", rows=int(points.shape[0])):
@@ -258,18 +239,17 @@ class MergeReduceTree:
                 self._compressions_since_refresh = 0
                 self.spread_refreshes += 1
                 _obs.counter_add("stream.spread_refreshes", 1.0)
-                if wants_bound:
+                k = getattr(self.sampler, "k", None)
+                if getattr(self.sampler, "consumes_cost_bound", False) and k is not None:
                     self._cached_cost_bound = crude_cost_upper_bound(
                         points,
-                        int(self.sampler.k),
+                        int(k),
                         spread=self._cached_spread,
                         seed=self._spread_generator,
                     ).upper_bound
                     self.cost_bound_refreshes += 1
                     _obs.counter_add("stream.cost_bound_refreshes", 1.0)
-                else:
-                    self._cached_cost_bound = None
-        return self._cached_spread, self._cached_cost_bound if wants_bound else None
+        return self._cached_spread, self._cached_cost_bound
 
     def _compress(self, points: np.ndarray, weights: np.ndarray) -> Coreset:
         """Compress a weighted point set to at most ``coreset_size`` points."""
@@ -425,12 +405,13 @@ class MergeReduceTree:
 
         With a synchronous :class:`~repro.parallel.executor.Executor` the
         call blocks until the whole batch is folded.  With an
-        :class:`~repro.parallel.executor.AsyncExecutor` the leaf futures
-        are enqueued instead and folded lazily — immediately down to
+        :class:`~repro.parallel.executor.AsyncExecutor` the carry chain is
+        walked at once with every reduce offloaded (:meth:`_fold_async`),
+        and the leaf futures are awaited lazily — immediately down to
         :attr:`pending_limit` outstanding futures (all of them when the
         limit is ``None``), the rest by later calls or :meth:`flush` /
-        :meth:`finalize`.  Folds always happen in arrival order, so every
-        scheduling produces the identical tree.
+        :meth:`finalize`.  The walk always happens in arrival order, so
+        every scheduling produces the identical tree.
         """
         if not self.spawn_seeds:
             raise ValueError(
@@ -483,25 +464,18 @@ class MergeReduceTree:
                 points=np.concatenate([points for points, *_ in prepared], axis=0),
                 weights=np.concatenate([weights for _, weights, *_ in prepared], axis=0),
             )
-        hints = [(spread, cost_bound) for _, _, spread, cost_bound, _ in prepared]
         if isinstance(executor, AsyncExecutor):
             futures = executor.submit_many(compress_shard, tasks, payload=payload)
-            if self.overlap_reduces:
-                # Walk the carry chain now, offloading each reduce; the
-                # queue entry only throttles in-flight leaves (folded=True).
-                for future, (spread, cost_bound) in zip(futures, hints):
-                    self._fold_async(future, spread, cost_bound, executor)
-                    self._pending.append((future, spread, cost_bound, True))
-            else:
-                self._pending.extend(
-                    (future, spread, cost_bound, False)
-                    for future, (spread, cost_bound) in zip(futures, hints)
-                )
+            # Walk the carry chain now, offloading each reduce; the queue
+            # entry only throttles in-flight leaves.
+            for future, task in zip(futures, tasks):
+                self._fold_async(future, task.spread, task.cost_bound, executor)
+                self._pending.append(future)
             self.pending_high_water = max(self.pending_high_water, len(self._pending))
             _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
             self._drain_pending(self.pending_limit)
             return
-        self.flush()  # earlier async batches must fold before this one
+        self.flush()  # earlier async batches must settle before this one
         owns_executor = not isinstance(executor, Executor)
         executor = resolve_executor(executor)
         try:
@@ -509,26 +483,20 @@ class MergeReduceTree:
         finally:
             if owns_executor:
                 executor.close()
-        for leaf, (spread, cost_bound) in zip(leaves, hints):
-            self._fold(leaf, spread, cost_bound)
+        for leaf, task in zip(leaves, tasks):
+            self._fold(leaf, task.spread, task.cost_bound)
 
     def _drain_pending(self, limit: Optional[int]) -> None:
-        """Drain queued leaf futures (oldest first) down to ``limit``.
+        """Await queued leaf futures (oldest first) down to ``limit``.
 
-        Unfolded entries are folded on the host; already-folded entries
-        (overlapped-reduce mode) are merely awaited — the drain is the
-        backpressure that bounds in-flight leaf memory either way.
+        Their carry walk already happened in :meth:`add_blocks`; the drain is
+        the backpressure that bounds in-flight leaf memory.
         """
         target = 0 if limit is None else max(0, int(limit))
         while len(self._pending) > target:
-            future, spread, cost_bound, folded = self._pending.popleft()
-            if folded:
-                with _obs.span("stream.pending_wait", folded=True):
-                    future.result()
-            else:
-                with _obs.span("stream.pending_wait", folded=False):
-                    leaf = future.result()
-                self._fold(leaf, spread, cost_bound)
+            future = self._pending.popleft()
+            with _obs.span("stream.pending_wait"):
+                future.result()
 
     def flush(self) -> None:
         """Settle every compression still in flight (arrival order).
@@ -588,18 +556,13 @@ class MergeReduceTree:
             if combined.size > self.coreset_size:
                 started = time.perf_counter()
                 if self.spawn_seeds:
-                    share = self.share_stream_state
                     final = self.sampler.sample(
                         combined.points,
                         min(self.coreset_size, combined.points.shape[0]),
                         weights=combined.weights,
                         seed=self._reduce_seed(self.reductions),
-                        spread=self._cached_spread if share else None,
-                        cost_bound=(
-                            self._cached_cost_bound
-                            if share and self._wants_cost_bound()
-                            else None
-                        ),
+                        spread=self._cached_spread,
+                        cost_bound=self._cached_cost_bound,
                     )
                 else:
                     final = self._compress(combined.points, combined.weights)
@@ -694,12 +657,10 @@ class StreamingCoresetPipeline:
         is a name or a synchronous instance (which is then promoted to its
         async sibling for the duration of the run).  ``None`` with a
         synchronous executor keeps the blocking per-batch behaviour.
-        Affects wall-clock and memory only, never the result.
-    overlap_reduces:
-        On the asynchronous path, also route reduce compressions through
-        the pool (default; see :class:`MergeReduceTree`).  Affects where
-        work runs, never the result.  Ignored when a ``window`` is set —
-        the windowed tree keeps every fold on the host.
+        Affects wall-clock and memory only, never the result.  On the
+        asynchronous path the reduces ride the pool too (see
+        :class:`MergeReduceTree`), except with a ``window``: the windowed
+        tree keeps every fold on the host.
     window:
         Optional :class:`~repro.streaming.window.WindowPolicy` switching
         the pipeline to a
@@ -739,11 +700,9 @@ class StreamingCoresetPipeline:
     coreset_size: int
     seed: SeedLike = None
     share_stream_state: bool = True
-    cache_cost_bound: bool = True
     executor: Union[None, str, Executor, AsyncExecutor] = None
     batch_size: Optional[int] = None
     prefetch_batches: Optional[int] = None
-    overlap_reduces: bool = True
     window: Optional["WindowPolicy"] = None
     drift_threshold: Optional[float] = None
     last_diagnostics: ExecutionDiagnostics = field(
@@ -762,7 +721,6 @@ class StreamingCoresetPipeline:
                 coreset_size=self.coreset_size,
                 seed=self.seed,
                 share_stream_state=self.share_stream_state,
-                cache_cost_bound=self.cache_cost_bound,
                 spawn_seeds=spawn_seeds,
                 window=self.window,
                 drift_threshold=self.drift_threshold,
@@ -772,9 +730,7 @@ class StreamingCoresetPipeline:
             coreset_size=self.coreset_size,
             seed=self.seed,
             share_stream_state=self.share_stream_state,
-            cache_cost_bound=self.cache_cost_bound,
             spawn_seeds=spawn_seeds,
-            overlap_reduces=self.overlap_reduces,
         )
 
     def _record_diagnostics(self, tree: MergeReduceTree) -> None:
@@ -847,11 +803,7 @@ class StreamingCoresetPipeline:
 
     def run(self, stream: Iterable[Block]) -> Coreset:
         """Process every block of ``stream`` and return the final compression."""
-        tree = self._tree()
-        self._consume(tree, stream)
-        coreset = tree.finalize()
-        self._record_diagnostics(tree)
-        return coreset
+        return self.run_with_statistics(stream)[0]
 
     def run_with_statistics(self, stream: Iterable[Block]) -> Tuple[Coreset, Dict[str, float]]:
         """Run and also report tree statistics (blocks, reductions, total weight).

@@ -46,7 +46,7 @@ index, fold seeds keyed by fold index, query seeds keyed by query index,
 hints fixed during the host walk) is a pure function of the block sequence,
 so sync and async executors produce bit-identical coresets.  Reduce and
 query compressions always run on the host thread — the overlap machinery
-only ships leaf compressions (``overlap_reduces`` is ignored).
+only ships leaf compressions.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ import numpy as np
 
 from repro import observability as _obs
 from repro.core.coreset import Coreset, merge_coresets, trivial_coreset
-from repro.core.spread_reduction import crude_cost_upper_bound
-from repro.geometry.quadtree import compute_spread
 from repro.parallel.executor import ArrayPayload, AsyncExecutor, Executor, resolve_executor
 from repro.parallel.sharding import KEY_STREAM_QUERY, ShardTask, compress_shard
 from repro.streaming.merge_reduce import MergeReduceTree
@@ -236,10 +234,11 @@ class WindowedMergeReduceTree(MergeReduceTree):
         drift-detector firings, and the block index of the latest firing
         (``-1`` when none fired).
 
-    Reduce and query compressions always run on the host thread;
-    ``overlap_reduces`` is accepted for signature compatibility but
-    ignored.  ``levels`` stays empty — live state is the stamped bucket
-    deque, inspectable through :meth:`live_ranges`.
+    Reduce and query compressions always run on the host thread.
+    ``levels`` stays empty — live state is the stamped bucket deque,
+    inspectable through :meth:`live_ranges`.  The shared hint caches are the
+    parent's; once blocks expire the window's bounding box can shrink, which
+    triggers a refresh there too.
     """
 
     window: Optional[WindowPolicy] = None
@@ -359,51 +358,6 @@ class WindowedMergeReduceTree(MergeReduceTree):
             self._cached_cost_bound = None
             _obs.counter_add("stream.drift_events", 1.0)
 
-    def _stream_hints(
-        self, points: np.ndarray
-    ) -> Tuple[Optional[float], Optional[float]]:
-        """Window-aware twin of the parent's shared hint caches.
-
-        Same staleness signal plus two window-specific triggers: a drift
-        firing empties the caches (handled in :meth:`_observe_drift`), and a
-        *shrinking* box — impossible for the append-only tree, routine once
-        blocks expire — also forces a refresh, since a spread measured on a
-        much larger window overestimates the live one.
-        """
-        if not self.share_stream_state:
-            return None, None
-        if self._bounds_low is None or points.shape[0] < 2:
-            return None, None
-        diameter = float(np.linalg.norm(self._bounds_high - self._bounds_low))
-        self._compressions_since_refresh += 1
-        wants_bound = self._wants_cost_bound()
-        stale = (
-            self._cached_spread is None
-            or (wants_bound and self._cached_cost_bound is None)
-            or diameter > self.spread_refresh_factor * self._cached_diameter
-            or diameter * self.spread_refresh_factor < self._cached_diameter
-            or self._compressions_since_refresh > self.spread_refresh_interval
-        )
-        if stale:
-            with _obs.span("stream.hint_refresh", rows=int(points.shape[0])):
-                self._cached_spread = compute_spread(points, seed=self._spread_generator)
-                self._cached_diameter = diameter
-                self._compressions_since_refresh = 0
-                self.spread_refreshes += 1
-                _obs.counter_add("stream.spread_refreshes", 1.0)
-                if wants_bound:
-                    self._cached_cost_bound = crude_cost_upper_bound(
-                        points,
-                        int(self.sampler.k),
-                        spread=self._cached_spread,
-                        seed=self._spread_generator,
-                    ).upper_bound
-                    self.cost_bound_refreshes += 1
-                    _obs.counter_add("stream.cost_bound_refreshes", 1.0)
-                else:
-                    self._cached_cost_bound = None
-        return self._cached_spread, self._cached_cost_bound if wants_bound else None
-
     # -------------------------------------------------------------- settling
     def _settle(self, bucket: _Bucket) -> None:
         """Fold one (possibly in-flight) bucket into the live window.
@@ -414,12 +368,12 @@ class WindowedMergeReduceTree(MergeReduceTree):
         """
         if self.window.expired(bucket.start, bucket.stop, self._now_index):
             if isinstance(bucket.value, Future):
-                with _obs.span("stream.pending_wait", folded=False):
+                with _obs.span("stream.pending_wait"):
                     bucket.value.result()
             self._count_expired(bucket)
             return
         if isinstance(bucket.value, Future):
-            with _obs.span("stream.pending_wait", folded=False):
+            with _obs.span("stream.pending_wait"):
                 bucket.value = bucket.value.result()
         if self.window.merges:
             self._carry(bucket)
@@ -669,7 +623,6 @@ class WindowedMergeReduceTree(MergeReduceTree):
         seed = self._query_seed()  # drawn unconditionally: the seed stream
         self._queries += 1  # must not depend on the current window's size
         if combined.size > self.coreset_size:
-            share = self.share_stream_state
             started = time.perf_counter()
             with _obs.span("stream.host_reduce", rows=int(combined.size)):
                 final = self.sampler.sample(
@@ -677,12 +630,8 @@ class WindowedMergeReduceTree(MergeReduceTree):
                     self.coreset_size,
                     weights=combined.weights,
                     seed=seed,
-                    spread=self._cached_spread if share else None,
-                    cost_bound=(
-                        self._cached_cost_bound
-                        if share and self._wants_cost_bound()
-                        else None
-                    ),
+                    spread=self._cached_spread,
+                    cost_bound=self._cached_cost_bound,
                 )
             self.host_reduce_seconds += time.perf_counter() - started
             self.host_reduces += 1

@@ -92,7 +92,7 @@ def _make_executor(backend: str, mode: str, workers: int):
     return ProcessAsyncExecutor(workers=workers)
 
 
-def _run_pipeline(blobs, executor, *, batch_size=None, prefetch=None, overlap=True):
+def _run_pipeline(blobs, executor, *, batch_size=None, prefetch=None):
     pipeline = StreamingCoresetPipeline(
         sampler=SensitivitySampling(k=5, seed=0),
         coreset_size=CORESET_SIZE,
@@ -100,7 +100,6 @@ def _run_pipeline(blobs, executor, *, batch_size=None, prefetch=None, overlap=Tr
         executor=executor,
         batch_size=batch_size,
         prefetch_batches=prefetch,
-        overlap_reduces=overlap,
     )
     return pipeline.run_with_statistics(DataStream(points=blobs, block_size=BLOCK_SIZE))
 
@@ -183,15 +182,12 @@ class TestStreamingCrossBackend:
 class TestShuffledCompletionOrder:
     """The jittered harness: completion order must never reach the bytes."""
 
-    @pytest.mark.parametrize("overlap", (False, True), ids=("leaf-only", "overlap-reduce"))
     @pytest.mark.parametrize("jitter_seed", range(4))
-    def test_streaming_is_completion_order_independent(self, blobs, jitter_seed, overlap):
+    def test_streaming_is_completion_order_independent(self, blobs, jitter_seed):
         reference, reference_stats = _run_pipeline(blobs, SerialExecutor(), batch_size=1)
         executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
-            coreset, stats = _run_pipeline(
-                blobs, executor, batch_size=4, prefetch=3, overlap=overlap
-            )
+            coreset, stats = _run_pipeline(blobs, executor, batch_size=4, prefetch=3)
         finally:
             executor.close()
         assert coreset.points.tobytes() == reference.points.tobytes()
@@ -327,9 +323,9 @@ class TestTreeFutureInputs:
 
 
 class TestOverlappedReduceModes:
-    """{sync, async-leaf-only, async+overlapped-reduce} x jitter x pending-limit.
+    """{sync, async+overlapped-reduce} x jitter x pending-limit.
 
-    The three scheduling modes must agree byte-for-byte under adversarial
+    Both scheduling modes must agree byte-for-byte under adversarial
     completion orders and any overlap window; the diagnostics must reflect
     where the reduces actually ran.
     """
@@ -340,14 +336,13 @@ class TestOverlappedReduceModes:
             for start in range(0, blobs.shape[0], BLOCK_SIZE)
         ]
 
-    def _run_tree(self, blocks, *, executor=None, overlap=True, pending_limit=None):
+    def _run_tree(self, blocks, *, executor=None, pending_limit=None):
         tree = MergeReduceTree(
             sampler=SensitivitySampling(k=5, seed=0),
             coreset_size=CORESET_SIZE,
             seed=SEED,
             spawn_seeds=True,
             pending_limit=pending_limit,
-            overlap_reduces=overlap,
         )
         for start in range(0, len(blocks), 4):
             tree.add_blocks(blocks[start : start + 4], executor=executor)
@@ -355,7 +350,7 @@ class TestOverlappedReduceModes:
 
     @pytest.mark.parametrize("pending_limit", (None, 1, 3))
     @pytest.mark.parametrize("jitter_seed", range(2))
-    @pytest.mark.parametrize("mode", ("sync", "async-leaf", "async-overlap"))
+    @pytest.mark.parametrize("mode", ("sync", "async-overlap"))
     def test_modes_agree_bytewise(self, blobs, mode, jitter_seed, pending_limit):
         blocks = self._blocks(blobs)
         reference, reference_tree = self._run_tree(blocks)
@@ -365,10 +360,7 @@ class TestOverlappedReduceModes:
             executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             result, tree = self._run_tree(
-                blocks,
-                executor=executor,
-                overlap=(mode == "async-overlap"),
-                pending_limit=pending_limit,
+                blocks, executor=executor, pending_limit=pending_limit
             )
         finally:
             executor.close()
@@ -384,29 +376,6 @@ class TestOverlappedReduceModes:
         else:
             assert tree.reduces_offloaded == 0, context
             assert tree.host_reduces == tree.reductions, context
-
-    def test_pipeline_flag_reaches_the_tree(self, blobs):
-        reference, reference_stats = _run_pipeline(blobs, SerialExecutor(), batch_size=1)
-        for overlap in (False, True):
-            executor = ThreadAsyncExecutor(workers=2)
-            pipeline = StreamingCoresetPipeline(
-                sampler=SensitivitySampling(k=5, seed=0),
-                coreset_size=CORESET_SIZE,
-                seed=SEED,
-                executor=executor,
-                overlap_reduces=overlap,
-            )
-            try:
-                coreset, stats = pipeline.run_with_statistics(
-                    DataStream(points=blobs, block_size=BLOCK_SIZE)
-                )
-            finally:
-                executor.close()
-            assert coreset.points.tobytes() == reference.points.tobytes()
-            assert stats == reference_stats
-            offloaded = pipeline.last_diagnostics["reduces_offloaded"]
-            assert (offloaded > 0) == overlap
-            assert pipeline.last_diagnostics["pending_high_water"] > 0
 
 
 class TestReduceFailurePath:

@@ -15,8 +15,9 @@ from repro.core import UniformSampling
 from repro.core.fast_coreset import FastCoreset
 from repro.data.synthetic import gaussian_mixture
 from repro.evaluation import coreset_distortion
-from repro.streaming import DataStream, StreamingCoresetPipeline
+from repro.streaming import DataStream, StreamingCoresetPipeline, merge_reduce
 from repro.streaming.merge_reduce import MergeReduceTree, stream_dataset
+from repro.streaming.window import SlidingCountWindow, WindowedMergeReduceTree
 
 
 @pytest.fixture(scope="module")
@@ -43,17 +44,13 @@ class TestSpreadCache:
             tree.add_block(rng.normal(scale=scale, size=(400, 5)))
         assert tree.spread_refreshes >= 3
 
-    def test_staleness_bounded_when_min_distance_shrinks(self):
+    def test_staleness_bounded_when_min_distance_shrinks(self, monkeypatch):
         """The bounding box cannot see near-duplicates arriving late in the
         stream (the spread grows through the *minimum* distance), so the
         periodic interval must force a resync and raise the cached value."""
+        monkeypatch.setattr(merge_reduce, "SPREAD_REFRESH_INTERVAL", 8)
         rng = np.random.default_rng(7)
-        tree = MergeReduceTree(
-            sampler=FastCoreset(k=4, seed=0),
-            coreset_size=100,
-            seed=5,
-            spread_refresh_interval=8,
-        )
+        tree = MergeReduceTree(sampler=FastCoreset(k=4, seed=0), coreset_size=100, seed=5)
         # Coarse integer grid first (small spread, fixed bounding box) ...
         tree.add_block(rng.integers(0, 20, size=(400, 3)).astype(float))
         early_spread = tree._cached_spread
@@ -125,19 +122,6 @@ class TestCostBoundCache:
         tree.finalize()
         assert tree.cost_bound_refreshes == 0
 
-    def test_cache_disabled_restores_per_compression_search(self, stream_points):
-        tree = MergeReduceTree(
-            sampler=FastCoreset(k=6, seed=0),
-            coreset_size=200,
-            seed=1,
-            cache_cost_bound=False,
-        )
-        for block, weights in DataStream.with_block_count(stream_points, 8):
-            tree.add_block(block, weights)
-        tree.finalize()
-        assert tree.cost_bound_refreshes == 0
-        assert tree.spread_refreshes >= 1  # the spread cache is unaffected
-
     def test_statistics_report_bound_refreshes(self, stream_points):
         pipeline = StreamingCoresetPipeline(
             sampler=FastCoreset(k=6, seed=0), coreset_size=200, seed=4
@@ -149,14 +133,16 @@ class TestCostBoundCache:
 
     def test_cached_bound_distortion_matches_uncached_baseline(self, stream_points):
         """The cached bound only steers grid granularities: distortion parity
-        with the per-compression-search baseline, averaged over seeds."""
+        with the per-compression-search baseline (no shared stream state),
+        averaged over seeds."""
         sampler = FastCoreset(k=8, seed=0)
         cached, baseline = [], []
         for seed in range(5):
-            for collector, cache in ((cached, True), (baseline, False)):
-                coreset = StreamingCoresetPipeline(
-                    sampler=sampler, coreset_size=300, seed=seed, cache_cost_bound=cache
-                ).run(DataStream.with_block_count(stream_points, 8))
+            for collector, share in ((cached, True), (baseline, False)):
+                coreset, statistics = StreamingCoresetPipeline(
+                    sampler=sampler, coreset_size=300, seed=seed, share_stream_state=share
+                ).run_with_statistics(DataStream.with_block_count(stream_points, 8))
+                assert (statistics["cost_bound_refreshes"] > 0) == share
                 collector.append(
                     coreset_distortion(stream_points, coreset, 8, seed=100 + seed)
                 )
@@ -209,3 +195,30 @@ class TestCachedSpreadQuality:
         )
         assert np.array_equal(with_share.points, without_share.points)
         assert np.array_equal(with_share.weights, without_share.weights)
+
+
+class TestOneTreeConfiguration:
+    """The cost-bound cache, overlapped reduces and the refresh thresholds are
+    unconditional: no stream-tree entry point accepts a switch for them."""
+
+    @pytest.mark.parametrize(
+        "knob",
+        (
+            "cache_cost_bound",
+            "overlap_reduces",
+            "spread_refresh_factor",
+            "spread_refresh_interval",
+        ),
+    )
+    @pytest.mark.parametrize(
+        "factory",
+        (
+            MergeReduceTree,
+            lambda **kw: WindowedMergeReduceTree(window=SlidingCountWindow(4), **kw),
+            StreamingCoresetPipeline,
+        ),
+        ids=("tree", "windowed-tree", "pipeline"),
+    )
+    def test_removed_knob_is_rejected(self, factory, knob):
+        with pytest.raises(TypeError, match=knob):
+            factory(sampler=UniformSampling(seed=0), coreset_size=10, **{knob: True})

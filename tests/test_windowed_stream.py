@@ -18,6 +18,7 @@ from repro.streaming import (
     DataStream,
     DriftDetector,
     ExponentialDecay,
+    MergeReduceTree,
     SlidingCountWindow,
     StreamingCoresetPipeline,
     WindowedMergeReduceTree,
@@ -353,6 +354,31 @@ class TestWindowedTreeBehaviour:
                 fired_at.append(index)
         assert fired_at == [expected]
         assert tree.last_drift_block == expected
+
+    def test_hint_caches_refresh_when_the_window_box_shrinks(self):
+        # Four wide blocks, then narrow ones inside the same box: once the
+        # last wide block leaves the 4-block window the live box is ~100x
+        # smaller, and the cached spread (measured on the wide window) must
+        # be re-estimated.  The append-only tree keeps the wide box forever.
+        rng = np.random.default_rng(2)
+        blocks = [rng.normal(scale=100.0, size=(200, 4)) for _ in range(4)]
+        blocks += [rng.normal(scale=1.0, size=(200, 4)) for _ in range(6)]
+        windowed = WindowedMergeReduceTree(
+            sampler=UniformSampling(seed=0),
+            coreset_size=50,
+            seed=0,
+            window=SlidingCountWindow(4),
+        )
+        plain = MergeReduceTree(sampler=UniformSampling(seed=0), coreset_size=50, seed=0)
+        windowed_counts, plain_counts = [], []
+        for points in blocks:
+            windowed.add_block(points)
+            plain.add_block(points)
+            windowed_counts.append(windowed.spread_refreshes)
+            plain_counts.append(plain.spread_refreshes)
+        # Block 7 is the first whose window (blocks 4-7) holds no wide block.
+        assert windowed_counts == [1] * 7 + [2] * 3
+        assert plain_counts == [1] * 10
 
     def test_no_drift_events_on_a_stationary_stream(self, blobs):
         # `blobs` arrives in cluster order, so its block means genuinely
