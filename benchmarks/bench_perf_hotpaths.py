@@ -30,19 +30,19 @@ Measured components per ``(n, d, k)`` workload:
   (batched envelope draws + incremental assignment vs sequential seeding +
   a second full distance block).
 * ``parallel_shard`` — sharded Fast-Coreset construction through the
-  parallel execution engine: the shared-memory process backend at the
-  row's worker count (the ``k`` column) vs the serial executor on the same
-  fixed shard layout.  Both sides produce bit-identical coresets, so the
+  parallel execution engine: the persistent shared-memory process backend
+  at the row's worker count (the ``k`` column) vs the inline serial
+  executor on the same fixed shard layout.  Both sides produce bit-identical coresets, so the
   ratio times pure execution overhead/speedup; the achievable speedup is
   capped by the machine's core count (a single-core CI box records ~1x).
 * ``async_stream`` — the overlapped streaming pipeline (double-buffered
-  prefetch, async executor at the row's worker count: the serial inline
-  backend at workers=1 — the CLI's one-worker default — and the persistent
-  thread pool beyond) vs the synchronous serial-executor pipeline on the
-  identical spawn-keyed stream.  The two produce bit-identical coresets,
-  so the ratio times the async machinery itself: at workers=1 it must not
-  fall below ~1x (the acceptance gate — overlap may not cost anything),
-  and extra workers add whatever the GIL releases (nothing on one core).
+  prefetch, executor at the row's worker count: the serial inline backend
+  at workers=1 — the CLI's one-worker default — and the persistent thread
+  pool beyond) vs the same pipeline on the serial inline executor with the
+  default read-ahead, on the identical spawn-keyed stream.  The two
+  produce bit-identical coresets, so at workers=1 the ratio must stay at
+  ~1x and extra workers add whatever the GIL releases (nothing on one
+  core).
 * ``quadtree_fit_incr`` — the constant-factor sweep of the fit (incremental
   compact keys off the one-shot digit matrix, packbits pattern LUTs,
   buffer-reusing CSR grouping) vs the frozen PR-1..4 fit
@@ -127,9 +127,8 @@ from repro.core.spread_reduction import crude_cost_upper_bound
 from repro.data.synthetic import gaussian_mixture
 from repro.geometry.quadtree import QuadtreeEmbedding, compute_spread
 from repro.parallel import (
-    ProcessExecutor,
+    ProcessAsyncExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
 )
@@ -552,20 +551,21 @@ def run_workload(
                 executor.close()
             diagnostics["optimized"] = pipeline.last_diagnostics
 
-        def _run_sync_stream() -> None:
-            # The "seed" column is the synchronous serial-executor pipeline
-            # on the identical spawn-keyed stream (bit-identical output).
+        def _run_serial_stream() -> None:
+            # The "seed" column is the serial inline executor with the
+            # default read-ahead on the identical spawn-keyed stream
+            # (bit-identical output).
             pipeline = StreamingCoresetPipeline(
                 sampler=sampler,
                 coreset_size=m,
                 seed=1,
-                executor=SerialExecutor(),
+                executor=SerialAsyncExecutor(),
             )
             pipeline.run(DataStream.with_block_count(points, STREAM_BLOCKS))
             diagnostics["baseline"] = pipeline.last_diagnostics
 
         optimized = _timed(_run_async_stream, repeats)
-        seed_time = _best_of(_run_sync_stream, repeats)
+        seed_time = _best_of(_run_serial_stream, repeats)
         extras["host_reduce_seconds"] = round(
             diagnostics["optimized"]["host_reduce_seconds"], 6
         )
@@ -580,10 +580,12 @@ def run_workload(
             coreset_size_per_shard=40 * PARALLEL_K,
             seed=3,
         )
-        process = ProcessExecutor(workers=workers)
+        process = ProcessAsyncExecutor(workers=workers)
         optimized = _timed(lambda: builder.build(points, executor=process), repeats)
         # The "seed" column is the serial baseline of the identical build.
-        seed_time = _best_of(lambda: builder.build(points, executor=SerialExecutor()), repeats)
+        seed_time = _best_of(
+            lambda: builder.build(points, executor=SerialAsyncExecutor()), repeats
+        )
     else:
         raise ValueError(f"unknown component {component!r}")
     # Interleave the remaining repeats optimized/seed/optimized/seed instead

@@ -36,12 +36,12 @@ from repro.core import (
 from repro.clustering import kmeans, kmedian, kmeans_plus_plus, fast_kmeans_plus_plus
 from repro.evaluation import coreset_distortion, solution_cost_on_dataset
 from repro.parallel import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
+    AsyncExecutor,
+    ProcessAsyncExecutor,
+    SerialAsyncExecutor,
     ShardedCoresetBuilder,
-    ThreadExecutor,
-    resolve_executor,
+    ThreadAsyncExecutor,
+    resolve_async_executor,
 )
 from repro.streaming import BicoCoreset, StreamKMPlusPlus, StreamingCoresetPipeline
 from repro.distributed import MapReduceCoresetAggregator
@@ -66,12 +66,12 @@ __all__ = [
     "fast_kmeans_plus_plus",
     "coreset_distortion",
     "solution_cost_on_dataset",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
+    "AsyncExecutor",
+    "ProcessAsyncExecutor",
+    "SerialAsyncExecutor",
     "ShardedCoresetBuilder",
-    "ThreadExecutor",
-    "resolve_executor",
+    "ThreadAsyncExecutor",
+    "resolve_async_executor",
     "BicoCoreset",
     "StreamKMPlusPlus",
     "StreamingCoresetPipeline",

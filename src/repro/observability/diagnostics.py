@@ -6,7 +6,7 @@ Before this module, execution diagnostics rode two ad-hoc dict channels —
 sets.  :class:`ExecutionDiagnostics` is the single typed carrier for both.
 It is deliberately **mode-dependent** data: wall-clock and scheduling
 counters that legitimately differ across {serial, thread, process} ×
-{sync, async} runs.  Mode-invariant statistics (coreset bytes, reduction
+worker-count × prefetch runs.  Mode-invariant statistics (coreset bytes, reduction
 counts compared across backends) stay on their own channels so the
 equivalence suites keep comparing byte-exact values — see
 ``parallel/README.md``.
@@ -21,17 +21,16 @@ Documented keys:
     zero with ``share_stream_state=False``, the cost bound also for
     samplers that do not consume it).
 ``reduces_offloaded``
-    Reduce compressions shipped to the async pool instead of folded on
-    the host: every carry-chain reduce of a non-windowed stream on an
-    async executor, and the sharded builder's final re-compression there.
+    Reduce compressions shipped to the executor instead of folded on the
+    host: every carry-chain reduce of a non-windowed spawn-keyed stream,
+    and the sharded builder's final re-compression.
 ``host_reduces`` / ``host_reduce_seconds``
     Folds the host performed itself, and the wall-clock they took (the
-    synchronous paths, windowed folds and queries, and a stream's final
-    re-compression).
+    sequential-seed ``add_block`` path, windowed folds and queries, and a
+    stream's final re-compression).
 ``pending_high_water``
     Maximum number of in-flight pool tasks observed: a stream's queued
-    leaf futures, or a sharded build's in-flight shards (async paths
-    only).
+    leaf futures, or a sharded build's landed-but-unassembled shards.
 ``blocks_seen``
     Stream blocks ingested (streaming pipeline only).
 ``blocks_expired``

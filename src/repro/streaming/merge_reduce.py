@@ -40,9 +40,7 @@ from repro.geometry.quadtree import compute_spread
 from repro.parallel.executor import (
     ArrayPayload,
     AsyncExecutor,
-    Executor,
     resolve_async_executor,
-    resolve_executor,
     submit_when_ready,
 )
 from repro.parallel.sharding import (
@@ -115,20 +113,20 @@ class MergeReduceTree:
         it is given an executor.
     pending_limit:
         Bound on the number of in-flight leaf futures the tree may hold
-        when driven by an :class:`~repro.parallel.executor.AsyncExecutor`
-        (the overlap window).  ``None`` awaits everything a batch submitted
+        when :meth:`add_blocks` is driven by a caller-owned executor (the
+        overlap window).  ``None`` awaits everything a batch submitted
         before :meth:`add_blocks` returns — no overlap across batches.  The
         limit changes memory and wall-clock only, never the coreset.
 
-    With an :class:`~repro.parallel.executor.AsyncExecutor` the reduces are
-    overlapped too: the carry chain is future-aware, level slots may hold
+    On the spawn-keyed batch path (:meth:`add_blocks`) the reduces ride the
+    executor too: the carry chain is future-aware, level slots may hold
     in-flight futures, the host only walks carry logic, and each reduce
     (``merge + sampler.sample``) is submitted the moment both of its inputs
     exist — from a completion callback when an input is still in flight.
     Legal because reduce seeds are a pure function of the reduce *index*
     (:meth:`_reduce_seed`), which the host assigns during the walk in
     arrival order, never of scheduling; the result is therefore
-    bit-identical to the synchronous fold.
+    bit-identical across backends, worker counts and completion orders.
 
     Attributes
     ----------
@@ -136,7 +134,7 @@ class MergeReduceTree:
         ``levels[l]`` holds the at-most-one compression currently stored at
         level ``l`` — a :class:`~repro.core.coreset.Coreset`, or an
         in-flight :class:`~concurrent.futures.Future` resolving to one
-        on the asynchronous path.
+        on the spawn-keyed batch path.
     reductions:
         Number of reduce operations performed so far (diagnostics).
     spread_refreshes / cost_bound_refreshes:
@@ -172,7 +170,7 @@ class MergeReduceTree:
 
     def __post_init__(self) -> None:
         self.coreset_size = check_integer(self.coreset_size, name="coreset_size")
-        #: Leaf futures submitted to an async executor but not yet awaited,
+        #: Leaf futures submitted to the executor but not yet awaited,
         #: in arrival order.  Their carry walk already happened; draining
         #: them is pure backpressure on in-flight leaf memory.
         self._pending: Deque[Future] = deque()
@@ -275,43 +273,6 @@ class MergeReduceTree:
     def _resolve(value: Union[Coreset, Future]) -> Coreset:
         return value.result() if isinstance(value, Future) else value
 
-    def _fold(
-        self,
-        current: Coreset,
-        spread_hint: Optional[float],
-        cost_bound_hint: Optional[float] = None,
-    ) -> None:
-        """Carry-propagate one leaf up the tree (spawn-keyed reduce seeds).
-
-        Reduce compressions reuse the spread and cost-bound hints of the
-        leaf that triggered them (they compress a merge of coresets *of
-        blocks already observed*, so the hints are equally valid) — a
-        deliberate choice that keeps every stochastic input a pure function
-        of the block sequence, never of how leaves were batched across
-        executor workers.
-        """
-        level = 0
-        while level in self.levels:
-            partner = self._resolve(self.levels.pop(level))
-            merged = merge_coresets([partner, current])
-            m = min(self.coreset_size, merged.points.shape[0])
-            started = time.perf_counter()
-            with _obs.span("stream.host_reduce", level=level, rows=int(merged.points.shape[0])):
-                current = self.sampler.sample(
-                    merged.points,
-                    m,
-                    weights=merged.weights,
-                    seed=self._reduce_seed(self.reductions),
-                    spread=spread_hint,
-                    cost_bound=cost_bound_hint,
-                )
-            self.host_reduce_seconds += time.perf_counter() - started
-            self.host_reduces += 1
-            self.reductions += 1
-            _obs.counter_add("stream.host_reduces", 1.0)
-            level += 1
-        self.levels[level] = current
-
     def _submit_reduce(
         self,
         partner: Union[Coreset, Future],
@@ -362,12 +323,17 @@ class MergeReduceTree:
     ) -> None:
         """The future-aware carry chain: walk levels, offload every reduce.
 
-        Identical carry logic to :meth:`_fold` — same partner pops, same
-        reduce-index assignment in arrival order — but the compressions
-        themselves become pool tasks chained on their inputs' futures, so
-        the host never blocks.  Bit-identity follows because every
-        stochastic input (seed, hints, size cap, merge order) is fixed here,
-        before any scheduling happens.
+        Carry-propagation exactly like binary addition, with reduce indices
+        assigned in arrival order — but the compressions themselves become
+        executor tasks chained on their inputs' futures, so the host never
+        blocks.  Reduce compressions reuse the spread and cost-bound hints
+        of the leaf that triggered them (they compress a merge of coresets
+        *of blocks already observed*, so the hints are equally valid) — a
+        deliberate choice that keeps every stochastic input a pure function
+        of the block sequence, never of how leaves were batched.
+        Bit-identity across schedulings follows because every stochastic
+        input (seed, hints, size cap, merge order) is fixed here, before any
+        scheduling happens.
         """
         level = 0
         while level in self.levels:
@@ -385,7 +351,7 @@ class MergeReduceTree:
         self,
         blocks: Iterable[Union[Block, "Future"]],
         *,
-        executor: Union[None, str, Executor, AsyncExecutor] = None,
+        executor: Union[None, str, AsyncExecutor] = None,
     ) -> None:
         """Consume a batch of blocks, compressing the leaves concurrently.
 
@@ -403,15 +369,18 @@ class MergeReduceTree:
         so the stream's identity (and therefore every derived seed) is
         unchanged.
 
-        With a synchronous :class:`~repro.parallel.executor.Executor` the
-        call blocks until the whole batch is folded.  With an
-        :class:`~repro.parallel.executor.AsyncExecutor` the carry chain is
-        walked at once with every reduce offloaded (:meth:`_fold_async`),
-        and the leaf futures are awaited lazily — immediately down to
+        The carry chain is walked at once with every reduce offloaded
+        (:meth:`_fold_async`).  With an
+        :class:`~repro.parallel.executor.AsyncExecutor` instance the leaf
+        futures are awaited lazily — immediately down to
         :attr:`pending_limit` outstanding futures (all of them when the
         limit is ``None``), the rest by later calls or :meth:`flush` /
-        :meth:`finalize`.  The walk always happens in arrival order, so
-        every scheduling produces the identical tree.
+        :meth:`finalize`.  ``None`` (a
+        :class:`~repro.parallel.executor.SerialAsyncExecutor`, running the
+        batch inline) or a backend name builds an executor for this call
+        only, so the call settles every compression before returning.  The
+        walk always happens in arrival order, so every scheduling produces
+        the identical tree.
         """
         if not self.spawn_seeds:
             raise ValueError(
@@ -464,7 +433,9 @@ class MergeReduceTree:
                 points=np.concatenate([points for points, *_ in prepared], axis=0),
                 weights=np.concatenate([weights for _, weights, *_ in prepared], axis=0),
             )
-        if isinstance(executor, AsyncExecutor):
+        owns_executor = not isinstance(executor, AsyncExecutor)
+        executor = resolve_async_executor(executor)
+        try:
             futures = executor.submit_many(compress_shard, tasks, payload=payload)
             # Walk the carry chain now, offloading each reduce; the queue
             # entry only throttles in-flight leaves.
@@ -473,18 +444,13 @@ class MergeReduceTree:
                 self._pending.append(future)
             self.pending_high_water = max(self.pending_high_water, len(self._pending))
             _obs.gauge_set("stream.pending_high_water", float(self.pending_high_water))
-            self._drain_pending(self.pending_limit)
-            return
-        self.flush()  # earlier async batches must settle before this one
-        owns_executor = not isinstance(executor, Executor)
-        executor = resolve_executor(executor)
-        try:
-            leaves = executor.map(compress_shard, tasks, payload=payload)
+            if owns_executor:
+                self.flush()  # an executor built for this call must not outlive it
+            else:
+                self._drain_pending(self.pending_limit)
         finally:
             if owns_executor:
                 executor.close()
-        for leaf, task in zip(leaves, tasks):
-            self._fold(leaf, task.spread, task.cost_bound)
 
     def _drain_pending(self, limit: Optional[int]) -> None:
         """Await queued leaf futures (oldest first) down to ``limit``.
@@ -638,29 +604,25 @@ class StreamingCoresetPipeline:
     executor:
         ``None`` (default) consumes the stream one block at a time with the
         historical sequential seed stream.  A backend name or an
-        :class:`~repro.parallel.executor.Executor` switches the tree to
-        spawn-keyed seeds and compresses arriving leaves concurrently in
-        batches; an :class:`~repro.parallel.executor.AsyncExecutor` (or any
-        executor combined with ``prefetch_batches``) additionally *overlaps*
-        the batches — reading batch ``i+1`` from disk while batch ``i``
-        compresses in the pool.  In all spawn-keyed modes the resulting
-        coreset is bit-identical across backends, worker counts, batch
-        sizes, prefetch depths, and completion orders (but differs from the
-        sequential stream's, whose seeds depend on draw order).
+        :class:`~repro.parallel.executor.AsyncExecutor` switches the tree to
+        spawn-keyed seeds, compresses arriving leaves concurrently in
+        batches, and *overlaps* the batches — reading batch ``i+1`` from
+        disk while batch ``i`` compresses in the pool.  In all spawn-keyed
+        modes the resulting coreset is bit-identical across backends, worker
+        counts, batch sizes, prefetch depths, and completion orders (but
+        differs from the sequential stream's, whose seeds depend on draw
+        order).
     batch_size:
         Number of blocks buffered per concurrent batch; defaults to the
         executor's worker count.  Affects wall-clock only, never the result.
     prefetch_batches:
         Depth of the read-ahead window in *batches* (double-buffering is
-        ``1``; the default async depth is 2).  Setting it switches the
-        pipeline to the asynchronous overlapped path even when ``executor``
-        is a name or a synchronous instance (which is then promoted to its
-        async sibling for the duration of the run).  ``None`` with a
-        synchronous executor keeps the blocking per-batch behaviour.
-        Affects wall-clock and memory only, never the result.  On the
-        asynchronous path the reduces ride the pool too (see
-        :class:`MergeReduceTree`), except with a ``window``: the windowed
-        tree keeps every fold on the host.
+        ``1``; the default depth is 2).  Setting it without an ``executor``
+        runs the overlapped path on the inline serial backend.  Affects
+        wall-clock and memory only, never the result.  On the overlapped
+        path the reduces ride the pool too (see :class:`MergeReduceTree`),
+        except with a ``window``: the windowed tree keeps every fold on the
+        host.
     window:
         Optional :class:`~repro.streaming.window.WindowPolicy` switching
         the pipeline to a
@@ -700,7 +662,7 @@ class StreamingCoresetPipeline:
     coreset_size: int
     seed: SeedLike = None
     share_stream_state: bool = True
-    executor: Union[None, str, Executor, AsyncExecutor] = None
+    executor: Union[None, str, AsyncExecutor] = None
     batch_size: Optional[int] = None
     prefetch_batches: Optional[int] = None
     window: Optional["WindowPolicy"] = None
@@ -752,26 +714,7 @@ class StreamingCoresetPipeline:
             for points, weights in stream:
                 tree.add_block(points, weights)
             return
-        if self.prefetch_batches is not None or isinstance(self.executor, AsyncExecutor):
-            self._consume_async(tree, stream)
-            return
-        owns_executor = not isinstance(self.executor, Executor)
-        executor = resolve_executor(self.executor)
-        try:
-            batch_size = (
-                self.batch_size if self.batch_size is not None else max(1, executor.workers)
-            )
-            batch: List[Block] = []
-            for block in stream:
-                batch.append(block)
-                if len(batch) >= batch_size:
-                    tree.add_blocks(batch, executor=executor)
-                    batch = []
-            if batch:
-                tree.add_blocks(batch, executor=executor)
-        finally:
-            if owns_executor:
-                executor.close()
+        self._consume_async(tree, stream)
 
     def _consume_async(self, tree: MergeReduceTree, stream: Iterable[Block]) -> None:
         """The overlapped path: prefetch reads, async leaves, lazy folds."""

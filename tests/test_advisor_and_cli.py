@@ -215,32 +215,32 @@ class TestCliParallel:
         with pytest.raises(SystemExit):
             main(["compress", data_file, "--k", "5", "--backend", "gpu"])
 
-    def test_async_sharded_build_matches_sync(self, data_file, tmp_path, capsys):
-        # --async reruns the identical spawn-keyed shard seeds through the
-        # persistent-pool async executor: bytes must not move.
+    def test_sharded_build_offloads_the_final_reduce(self, data_file, tmp_path, capsys):
+        # Every backend collects shards as they complete and ships the final
+        # re-compression to the executor: bytes must not move.
         archives = []
-        for extra in ([], ["--async"]):
-            output = str(tmp_path / f"async{len(extra)}.npz")
+        for backend in ("serial", "thread"):
+            output = str(tmp_path / f"offload_{backend}.npz")
             code = main(
                 ["compress", data_file, "--k", "5", "--m", "100", "--output", output,
-                 "--shards", "4", "--seed", "2", "--backend", "thread",
-                 "--workers", "2", *extra]
+                 "--shards", "4", "--seed", "2", "--backend", backend,
+                 "--workers", "2"]
             )
             assert code == 0
             summary = json.loads(capsys.readouterr().out)
-            assert summary["backend"] == ("async+thread" if extra else "thread")
-            if extra:
-                # The async build offloads the final re-compression.
-                assert summary["reduces_offloaded"] == 1
-                assert summary["pending_high_water"] >= 0
+            assert summary["backend"] == backend
+            assert summary["reduces_offloaded"] == 1
+            assert summary["pending_high_water"] >= 0
             archives.append(np.load(output))
         assert np.array_equal(archives[0]["points"], archives[1]["points"])
         assert np.array_equal(archives[0]["weights"], archives[1]["weights"])
 
-    def test_async_without_shards_rejected(self, data_file, capsys):
-        code = main(["compress", data_file, "--k", "5", "--async"])
-        assert code == 2
-        assert "--async requires" in capsys.readouterr().err
+    def test_async_flag_is_gone(self, data_file, capsys):
+        # One executor contract: there is no second one to opt into.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compress", data_file, "--k", "5", "--shards", "4", "--async"])
+        assert exit_info.value.code == 2
+        assert "--async" in capsys.readouterr().err
 
     def test_prefetch_rejects_conflicting_shards(self, data_file, capsys):
         code = main(
@@ -261,11 +261,11 @@ class TestCliParallel:
         # The overlapped streaming path is keyed by --seed and the block
         # structure; prefetch depth and backend change wall-clock only.
         archives = []
-        for label, extra in (
-            ("a", ["--prefetch-batches", "1", "--backend", "serial"]),
-            ("b", ["--prefetch-batches", "4", "--backend", "thread", "--workers", "2"]),
+        for backend, extra in (
+            ("serial", ["--prefetch-batches", "1", "--backend", "serial"]),
+            ("thread", ["--prefetch-batches", "4", "--backend", "thread", "--workers", "2"]),
         ):
-            output = str(tmp_path / f"prefetch_{label}.npz")
+            output = str(tmp_path / f"prefetch_{backend}.npz")
             code = main(
                 ["compress", data_file, "--k", "5", "--m", "100", "--output", output,
                  "--seed", "2", *extra]
@@ -274,7 +274,7 @@ class TestCliParallel:
             summary = json.loads(capsys.readouterr().out)
             assert summary["mode"] == "streaming"
             assert summary["blocks"] == 16
-            assert summary["backend"].startswith("async+")
+            assert summary["backend"] == backend
             # Reduce diagnostics ride the summary; the offload split is
             # mode-dependent but reduces always run on the pool here.
             assert summary["reductions"] == 15
@@ -316,7 +316,7 @@ class TestCliParallel:
         assert summary["mode"] == "windowed_streaming[decay]"
         assert summary["decay_half_life"] == 3.0
         assert summary["blocks_expired"] == 0
-        assert summary["backend"].startswith("async+")
+        assert summary["backend"] == "serial"
         # Decay fades old blocks: total weight well below the input size.
         assert summary["total_weight"] < summary["input_points"]
 

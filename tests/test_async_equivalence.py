@@ -5,8 +5,7 @@ pipeline and the sharded builder must produce **byte-identical** coresets —
 points, weights, method, and statistics — across
 
 * every backend ({serial, thread, process}),
-* both scheduling contracts ({sync, async}),
-* every worker count ({1, 2, 4}) and prefetch depth ({1, 2, 4}),
+* every worker count ({1, 2, 4}) and prefetch depth ({none, 1, 2, 4}),
 * and every *completion order*, exercised by a deliberately jittered
   executor that finishes tasks in adversarially shuffled order.
 
@@ -30,12 +29,9 @@ from repro.core.coreset import Coreset
 from repro.parallel import (
     AsyncExecutor,
     ProcessAsyncExecutor,
-    ProcessExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
-    ThreadExecutor,
 )
 from repro.streaming import DataStream, MergeReduceTree, StreamingCoresetPipeline
 
@@ -78,13 +74,7 @@ class JitteredAsyncExecutor(AsyncExecutor):
         self._pool.shutdown(wait=True)
 
 
-def _make_executor(backend: str, mode: str, workers: int):
-    if mode == "sync":
-        if backend == "serial":
-            return SerialExecutor()
-        if backend == "thread":
-            return ThreadExecutor(workers=workers)
-        return ProcessExecutor(workers=workers)
+def _make_executor(backend: str, workers: int):
     if backend == "serial":
         return SerialAsyncExecutor()
     if backend == "thread":
@@ -127,41 +117,39 @@ def _grid():
     for backend in ("serial", "thread", "process"):
         marks = [pytest.mark.parallel] if backend == "process" else []
         worker_counts = (1,) if backend == "serial" else (1, 2, 4)
-        for mode in ("sync", "async"):
-            for workers in worker_counts:
-                for prefetch in (None,) if mode == "sync" else (1, 2, 4):
-                    cases.append(
-                        pytest.param(
-                            backend,
-                            mode,
-                            workers,
-                            prefetch,
-                            id=f"{backend}-{mode}-w{workers}-p{prefetch}",
-                            marks=marks,
-                        )
+        for workers in worker_counts:
+            for prefetch in (None, 1, 2, 4):
+                cases.append(
+                    pytest.param(
+                        backend,
+                        workers,
+                        prefetch,
+                        id=f"{backend}-w{workers}-p{prefetch}",
+                        marks=marks,
                     )
+                )
     return cases
 
 
 class TestStreamingCrossBackend:
-    """The full {backend} x {sync, async} x workers x prefetch grid."""
+    """The full {backend} x workers x prefetch grid."""
 
     @pytest.fixture(scope="class")
     def baseline(self, blobs):
-        """The synchronous serial (spawn-keyed) reference run."""
-        return _run_pipeline(blobs, SerialExecutor(), batch_size=1)
+        """The serial (spawn-keyed) one-block-per-batch reference run."""
+        return _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
 
-    @pytest.mark.parametrize("backend,mode,workers,prefetch", _grid())
+    @pytest.mark.parametrize("backend,workers,prefetch", _grid())
     def test_byte_identical_to_sequential_baseline(
-        self, blobs, baseline, backend, mode, workers, prefetch
+        self, blobs, baseline, backend, workers, prefetch
     ):
         reference, reference_stats = baseline
-        executor = _make_executor(backend, mode, workers)
+        executor = _make_executor(backend, workers)
         try:
             coreset, stats = _run_pipeline(blobs, executor, prefetch=prefetch)
         finally:
             executor.close()
-        context = (backend, mode, workers, prefetch)
+        context = (backend, workers, prefetch)
         assert coreset.points.tobytes() == reference.points.tobytes(), context
         assert coreset.weights.tobytes() == reference.weights.tobytes(), context
         assert coreset.method == reference.method, context
@@ -184,7 +172,7 @@ class TestShuffledCompletionOrder:
 
     @pytest.mark.parametrize("jitter_seed", range(4))
     def test_streaming_is_completion_order_independent(self, blobs, jitter_seed):
-        reference, reference_stats = _run_pipeline(blobs, SerialExecutor(), batch_size=1)
+        reference, reference_stats = _run_pipeline(blobs, SerialAsyncExecutor(), batch_size=1)
         executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             coreset, stats = _run_pipeline(blobs, executor, batch_size=4, prefetch=3)
@@ -203,7 +191,7 @@ class TestShuffledCompletionOrder:
             final_coreset_size=100,
             seed=9,
         )
-        reference = builder.build(blobs, executor=SerialExecutor())
+        reference = builder.build(blobs, executor=SerialAsyncExecutor())
         executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             result = builder.build(blobs, executor=executor)
@@ -214,12 +202,11 @@ class TestShuffledCompletionOrder:
         assert result.message_sizes == reference.message_sizes
         assert result.communication == reference.communication
         assert result.metadata == reference.metadata
-        assert result.backend == "async+jitter"
-        # The final re-compression rode the pool; the host ran no reduce.
-        assert result.diagnostics["reduces_offloaded"] == 1.0
-        assert result.diagnostics["host_reduces"] == 0.0
-        assert reference.diagnostics["reduces_offloaded"] == 0.0
-        assert reference.diagnostics["host_reduces"] == 1.0
+        assert result.backend == "jitter"
+        # The final re-compression rode the executor; the host ran no reduce.
+        for build in (result, reference):
+            assert build.diagnostics["reduces_offloaded"] == 1.0
+            assert build.diagnostics["host_reduces"] == 0.0
 
 
 class TestShardedAsyncBackends:
@@ -230,7 +217,7 @@ class TestShardedAsyncBackends:
             coreset_size_per_shard=60,
             seed=5,
         )
-        reference = builder.build(blobs, executor=SerialExecutor())
+        reference = builder.build(blobs, executor=SerialAsyncExecutor())
         try:
             result = builder.build(blobs, executor=executor)
         finally:
@@ -306,6 +293,28 @@ class TestTreeFutureInputs:
         assert tree.reductions == reference_tree.reductions
         assert tree.spread_refreshes == reference_tree.spread_refreshes
 
+    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    def test_named_executor_settles_before_returning(self, blobs, backend):
+        # A backend name builds an executor for one call only: the call must
+        # settle every leaf and reduce before closing it, whatever the limit.
+        blocks = self._blocks(blobs)
+        reference, _ = self._finalize(blobs, blocks)
+        tree = MergeReduceTree(
+            sampler=SensitivitySampling(k=5, seed=0),
+            coreset_size=CORESET_SIZE,
+            seed=SEED,
+            spawn_seeds=True,
+            pending_limit=2,
+        )
+        for start in range(0, len(blocks), 4):
+            tree.add_blocks(blocks[start : start + 4], executor=backend)
+            assert not tree._pending
+            levels = tree.levels.values()
+            assert all(value.done() for value in levels if isinstance(value, Future))
+        result = tree.finalize()
+        assert result.points.tobytes() == reference.points.tobytes()
+        assert result.weights.tobytes() == reference.weights.tobytes()
+
     def test_pending_futures_respect_limit_between_batches(self, blobs):
         blocks = self._blocks(blobs)
         tree = MergeReduceTree(
@@ -323,11 +332,11 @@ class TestTreeFutureInputs:
 
 
 class TestOverlappedReduceModes:
-    """{sync, async+overlapped-reduce} x jitter x pending-limit.
+    """Overlapped reduces x jitter x pending-limit.
 
-    Both scheduling modes must agree byte-for-byte under adversarial
-    completion orders and any overlap window; the diagnostics must reflect
-    where the reduces actually ran.
+    The jittered executor must agree byte-for-byte with the inline serial
+    run under adversarial completion orders and any overlap window; the
+    diagnostics must reflect where the reduces actually ran.
     """
 
     def _blocks(self, blobs):
@@ -350,32 +359,25 @@ class TestOverlappedReduceModes:
 
     @pytest.mark.parametrize("pending_limit", (None, 1, 3))
     @pytest.mark.parametrize("jitter_seed", range(2))
-    @pytest.mark.parametrize("mode", ("sync", "async-overlap"))
-    def test_modes_agree_bytewise(self, blobs, mode, jitter_seed, pending_limit):
+    def test_modes_agree_bytewise(self, blobs, jitter_seed, pending_limit):
         blocks = self._blocks(blobs)
         reference, reference_tree = self._run_tree(blocks)
-        if mode == "sync":
-            executor = ThreadExecutor(workers=2)
-        else:
-            executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
+        executor = JitteredAsyncExecutor(workers=4, seed=jitter_seed)
         try:
             result, tree = self._run_tree(
                 blocks, executor=executor, pending_limit=pending_limit
             )
         finally:
             executor.close()
-        context = (mode, jitter_seed, pending_limit)
+        context = (jitter_seed, pending_limit)
         assert result.points.tobytes() == reference.points.tobytes(), context
         assert result.weights.tobytes() == reference.weights.tobytes(), context
         assert tree.reductions == reference_tree.reductions, context
         assert tree.spread_refreshes == reference_tree.spread_refreshes, context
-        if mode == "async-overlap":
-            assert tree.reduces_offloaded == tree.reductions - tree.host_reduces, context
-            assert tree.reduces_offloaded > 0, context
-            assert tree.host_reduces <= 1, context  # only the final re-compression
-        else:
-            assert tree.reduces_offloaded == 0, context
-            assert tree.host_reduces == tree.reductions, context
+        for run in (tree, reference_tree):
+            assert run.reduces_offloaded == run.reductions - run.host_reduces, context
+            assert run.reduces_offloaded > 0, context
+            assert run.host_reduces <= 1, context  # only the final re-compression
 
 
 class TestReduceFailurePath:

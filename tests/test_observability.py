@@ -37,7 +37,6 @@ from repro.observability import (
 from repro.parallel import (
     ProcessAsyncExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ShardedCoresetBuilder,
     ThreadAsyncExecutor,
 )
@@ -290,12 +289,13 @@ class TestTracingInvariance:
         try:
             return builder.build(blobs, executor=executor)
         finally:
-            executor.close()
+            if not isinstance(executor, str):  # a named backend is owned by the build
+                executor.close()
 
     @pytest.mark.parametrize(
         "factory",
         [
-            pytest.param(lambda: SerialExecutor(), id="sync-serial"),
+            pytest.param(lambda: "serial", id="named-serial"),
             pytest.param(lambda: SerialAsyncExecutor(), id="async-serial"),
             pytest.param(lambda: ThreadAsyncExecutor(workers=3), id="async-thread"),
             pytest.param(

@@ -6,6 +6,7 @@ them by reference — the same requirement the library's own task functions
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +16,10 @@ from repro.parallel import (
     BACKENDS,
     ArrayPayload,
     AsyncExecutor,
-    Executor,
     ProcessAsyncExecutor,
-    ProcessExecutor,
     SerialAsyncExecutor,
-    SerialExecutor,
     ThreadAsyncExecutor,
-    ThreadExecutor,
     resolve_async_executor,
-    resolve_executor,
     shard_bounds,
 )
 
@@ -46,6 +42,10 @@ def _fail_on_first(payload, task):
     if task == 0:
         raise RuntimeError("task 0 failed")
     return task
+
+
+def _kill_worker(payload, task):
+    os._exit(1)
 
 
 def _shared_segment_names():
@@ -99,71 +99,83 @@ class TestShardBounds:
             shard_bounds(10, 0)
 
 
+IN_PROCESS_BACKENDS = [
+    pytest.param(lambda workers: SerialAsyncExecutor(), id="serial"),
+    pytest.param(lambda workers: ThreadAsyncExecutor(workers=workers), id="thread"),
+]
+
+
 class TestSerialAndThread:
     def test_serial_matches_direct_evaluation(self, payload, tasks):
         expected = [_slice_total(payload, task) for task in tasks]
-        assert SerialExecutor().map(_slice_total, tasks, payload=payload) == expected
+        assert SerialAsyncExecutor().map(_slice_total, tasks, payload=payload) == expected
 
-    def test_thread_matches_serial_and_preserves_order(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+    @pytest.mark.parametrize("make", IN_PROCESS_BACKENDS)
+    def test_map_matches_serial_and_preserves_order(self, payload, tasks, make):
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         for workers in (1, 2, 3, 8):
-            assert (
-                ThreadExecutor(workers=workers).map(_slice_total, tasks, payload=payload)
-                == expected
-            )
+            with make(workers) as executor:
+                assert executor.map(_slice_total, tasks, payload=payload) == expected
 
-    def test_thread_without_payload(self):
-        assert ThreadExecutor(workers=2).map(_double, [1, 2, 3]) == [2, 4, 6]
+    @pytest.mark.parametrize("make", IN_PROCESS_BACKENDS)
+    def test_map_without_payload(self, make):
+        with make(2) as executor:
+            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
 
-    def test_empty_task_list(self, payload):
-        assert SerialExecutor().map(_slice_total, [], payload=payload) == []
-        assert ThreadExecutor(workers=2).map(_slice_total, [], payload=payload) == []
+    @pytest.mark.parametrize("make", IN_PROCESS_BACKENDS)
+    def test_empty_task_list(self, payload, make):
+        with make(2) as executor:
+            assert executor.map(_slice_total, [], payload=payload) == []
 
     def test_worker_count_validation(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(workers=0)
+            ThreadAsyncExecutor(workers=0)
         with pytest.raises(TypeError):
-            ThreadExecutor(workers=2.5)
+            ThreadAsyncExecutor(workers=2.5)
 
 
 @pytest.mark.parallel
-class TestProcessExecutor:
+class TestProcessBackend:
     def test_matches_serial_via_shared_memory(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         for workers in (1, 2, 4):
-            with ProcessExecutor(workers=workers) as executor:
+            with ProcessAsyncExecutor(workers=workers) as executor:
                 assert executor.map(_slice_total, tasks, payload=payload) == expected
 
     def test_without_payload(self):
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
 
     def test_empty_task_list(self, payload):
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, [], payload=payload) == []
 
     def test_closed_executor_rejects_map(self, payload, tasks):
-        executor = ProcessExecutor(workers=2)
+        executor = ProcessAsyncExecutor(workers=2)
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
             executor.map(_slice_total, tasks, payload=payload)
 
-    def test_fresh_pool_escape_hatch_matches(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
-        executor = ProcessExecutor(workers=2, fresh_pool=True)
-        assert executor.map(_slice_total, tasks, payload=payload) == expected
-        # Nothing persists on this path: no pool, no pooled segments.
-        assert executor._persistent is None
-
     def test_no_shared_memory_segments_leak_after_close(self, payload, tasks):
         before = _shared_segment_names()
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             executor.map(_slice_total, tasks, payload=payload)
         assert _shared_segment_names() - before == set()
 
-    def test_fresh_pool_leaks_nothing_per_call(self, payload, tasks):
+    def test_dead_worker_does_not_poison_the_pool(self, payload, tasks):
+        # A task that kills its worker breaks the underlying pool; the
+        # executor must start a fresh one for the next call, reusing the
+        # segments it already leased instead of creating new ones.
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         before = _shared_segment_names()
-        ProcessExecutor(workers=2, fresh_pool=True).map(_slice_total, tasks, payload=payload)
+        with ProcessAsyncExecutor(workers=2) as executor:
+            assert executor.map(_slice_total, tasks, payload=payload) == expected
+            warm = _shared_segment_names()
+            with pytest.raises(BrokenProcessPool):
+                executor.map(_kill_worker, [0], payload=payload)
+            assert executor.map(_slice_total, tasks, payload=payload) == expected
+            assert executor.submit(_double, 4).result() == 8
+            assert len(_shared_segment_names()) <= len(warm)
         assert _shared_segment_names() - before == set()
 
 
@@ -177,9 +189,9 @@ class TestPersistentPoolReuse:
             points=rng.normal(size=(64, 3)), weights=rng.uniform(0.5, 1.5, size=64)
         )
         tasks = [(0, 32, 1.0), (32, 64, 0.5)]
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         before = _shared_segment_names()
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
             # After the first call the segment pool is warm: two segments
             # (points + weights) that every later call leases and rewrites.
@@ -192,7 +204,7 @@ class TestPersistentPoolReuse:
         assert _shared_segment_names() - before == set()
 
     def test_map_calls_reuse_the_same_worker_processes(self):
-        with ProcessExecutor(workers=2) as executor:
+        with ProcessAsyncExecutor(workers=2) as executor:
             pids = set()
             for _ in range(10):
                 pids.update(executor.map(_worker_pid, [0, 1]))
@@ -230,7 +242,7 @@ class TestPersistentPoolReuse:
             points=rng.normal(size=(50, 4)), weights=np.ones(50)
         )
         tasks = [(0, 25, 2.0), (25, 50, 1.0)]
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         before = _shared_segment_names()
         with ProcessAsyncExecutor(workers=2) as executor:
             assert executor.map(_slice_total, tasks, payload=payload) == expected
@@ -252,7 +264,7 @@ class TestAsyncExecutors:
         assert future.result() == _slice_total(payload, tasks[0])
 
     def test_submit_many_and_map_match_serial(self, payload, tasks):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         with ThreadAsyncExecutor(workers=3) as executor:
             futures = executor.submit_many(_slice_total, tasks, payload=payload)
             assert [future.result() for future in futures] == expected
@@ -260,7 +272,7 @@ class TestAsyncExecutors:
 
     @pytest.mark.parametrize("window", (1, 2, None))
     def test_map_unordered_yields_every_index_once(self, payload, tasks, window):
-        expected = SerialExecutor().map(_slice_total, tasks, payload=payload)
+        expected = SerialAsyncExecutor().map(_slice_total, tasks, payload=payload)
         with ThreadAsyncExecutor(workers=4) as executor:
             pairs = list(
                 executor.map_unordered(_slice_total, tasks, payload=payload, window=window)
@@ -302,13 +314,6 @@ class TestResolveAsyncExecutor:
         executor = ThreadAsyncExecutor(workers=5)
         assert resolve_async_executor(executor, workers=1) is executor
 
-    def test_sync_instances_promote_to_async_siblings(self):
-        promoted = resolve_async_executor(ThreadExecutor(workers=4))
-        assert isinstance(promoted, ThreadAsyncExecutor) and promoted.workers == 4
-        promoted = resolve_async_executor(ProcessExecutor(workers=3))
-        assert isinstance(promoted, ProcessAsyncExecutor) and promoted.workers == 3
-        assert isinstance(resolve_async_executor(SerialExecutor()), SerialAsyncExecutor)
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown executor backend"):
             resolve_async_executor("gpu")
@@ -318,25 +323,15 @@ class TestResolveAsyncExecutor:
             assert isinstance(resolve_async_executor(name, workers=2), AsyncExecutor)
 
 
-class TestResolveExecutor:
-    def test_none_and_serial_give_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
+class TestOneContract:
+    @pytest.mark.parametrize(
+        "name",
+        ["Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor", "resolve_executor"],
+    )
+    def test_sync_contract_is_gone(self, name):
+        import repro
+        import repro.parallel
+        import repro.parallel.executor
 
-    def test_names_build_backends_with_workers(self):
-        thread = resolve_executor("thread", workers=3)
-        assert isinstance(thread, ThreadExecutor) and thread.workers == 3
-        process = resolve_executor("process", workers=2)
-        assert isinstance(process, ProcessExecutor) and process.workers == 2
-
-    def test_instance_passes_through(self):
-        executor = ThreadExecutor(workers=5)
-        assert resolve_executor(executor, workers=1) is executor
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor backend"):
-            resolve_executor("gpu")
-
-    def test_backend_names_are_resolvable(self):
-        for name in BACKENDS:
-            assert isinstance(resolve_executor(name, workers=2), Executor)
+        for namespace in (repro, repro.parallel, repro.parallel.executor):
+            assert not hasattr(namespace, name), (namespace.__name__, name)
