@@ -53,8 +53,24 @@ is clamped to the all-ones digit row, which is the fixed point the iterative
 doubling converges to).  Together these replace the seed's per-level floor,
 the doubled integer lattice, *and* the per-level row hashing with one
 ``(n, d)`` shift-and-mask plus one length-``n`` multiply-add per level.
-Fits whose depth cap exceeds 62 levels (beyond any realistic spread) fall
-back to the equivalent per-level ``frac`` doubling.
+The fractional parts and the level-0 lattice are released once the digits
+exist, so a fit's level loop holds only the keys and the digit matrix.
+
+Trees of at most 32 levels (every fit with the default ``max_levels``) hold
+the digits left-aligned in a ``uint32`` residual, whose top bit is the next
+level's bit.  When the compiled tier serves ``csr_group`` with a
+``bind_levels`` step, each level is *one* native call: the step is bound
+once per fit (every input pointer and work buffer pinned, so a call passes
+no array through ctypes' argument checks), then applies the key update
+above while shifting the residual and groups the new keys in the same call.
+The integer arithmetic is exact and order-independent, so the cells are
+bit-identical to the numpy step.  The numpy key step — a sign compare,
+``np.packbits`` row patterns and one subset-sum table lookup per 8
+coordinates, then :func:`_csr_group` — serves ``REPRO_NATIVE=0``, providers
+without ``bind_levels``, and deeper trees: fits whose depth cap exceeds 32
+levels read an ``int64`` digit matrix, and beyond 62 levels (past any
+realistic spread) they fall back to the equivalent per-level ``frac``
+doubling.
 
 Seed-compatibility policy
 -------------------------
@@ -161,8 +177,8 @@ _MAX_DIGIT_LEVELS = 62
 
 #: Digit matrices for trees of at most this depth are held as ``uint32``
 #: (half the memory traffic of the per-level bit extraction) and their key
-#: increments served from the pattern LUTs below.  The default
-#: ``max_levels=32`` always fits.
+#: increments served by the compiled level step or, without it, from the
+#: pattern LUTs below.  The default ``max_levels=32`` always fits.
 _MAX_UINT32_DIGIT_LEVELS = 32
 
 #: Per-dimension cache of byte-aligned subset-sum tables for the chunked
@@ -348,6 +364,7 @@ class QuadtreeEmbedding:
         # sqrt is monotone and exactly rounded, so sqrt(max) == max(sqrt).
         squared_norms = np.einsum("ij,ij->i", shifted_points, shifted_points)
         self.delta_ = float(math.sqrt(squared_norms.max()))
+        del squared_norms
         if self.delta_ <= 0:
             # All points identical: a single-level tree with one cell.
             self.delta_ = 1.0
@@ -370,69 +387,41 @@ class QuadtreeEmbedding:
         # (``key' = 2 * key + bits . multipliers``, exact modulo 2**64 —
         # see the module docstring) with the per-level bits read from the
         # one-shot digit matrix ``floor(frac * 2**depth_cap)``.
-        scaled = shifted_points
-        scaled /= self.cell_side(0)
-        lattice = np.floor(scaled).astype(np.int64)
+        frac = shifted_points
+        del shifted_points
+        frac /= self.cell_side(0)
+        lattice = np.floor(frac).astype(np.int64)
         keys = hash_rows(lattice)
-        scratch = _csr_scratch(self.n_points_)
-        increment = np.empty(self.n_points_, dtype=np.int64)
-        frac = scaled
         frac -= lattice
+        del lattice
         # frac >= 0, so truncation is floor; a fractional part that rounded
         # up to exactly 1.0 reads as the all-ones digit row — the fixed
         # point of 2f - (f >= 1/2).  Shallow trees left-align the digits in
-        # a uint32 residual so each level's bits are one sign-compare away,
-        # and resolve the key increment with one byte-table lookup per 8
-        # coordinates (``np.packbits`` row patterns).
+        # a uint32 residual so each level's bits are its top bits.  Once the
+        # digits exist the fractional parts are dead and are released.
         residual = None
         digits = None
-        bits = None
-        tables = None
-        if depth_cap <= _MAX_UINT32_DIGIT_LEVELS:
-            residual = (frac * (2.0**depth_cap)).astype(np.uint32)
-            np.minimum(residual, np.uint32((1 << depth_cap) - 1), out=residual)
-            residual <<= np.uint32(32 - depth_cap)  # level-1 bit on top
-            tables = _pattern_tables(self.dimension_)
-            # Byte-aligned flag rows let packbits run over one flat stream
-            # (the per-row path is ~50x slower for narrow inputs); the pad
-            # columns stay zero so the final byte patterns are unaffected.
-            padded_width = (self.dimension_ + 7) // 8 * 8
-            flag_buffer = np.zeros((self.n_points_, padded_width), dtype=bool)
-            flag_view = flag_buffer[:, : self.dimension_]
-        elif depth_cap <= _MAX_DIGIT_LEVELS:
-            digits = (frac * (2.0**depth_cap)).astype(np.int64)
-            np.minimum(digits, (np.int64(1) << depth_cap) - 1, out=digits)
-            bits = np.empty_like(digits)
-            multipliers = _hash_multipliers(self.dimension_).view(np.int64)
+        if depth_cap <= _MAX_DIGIT_LEVELS:
+            frac *= 2.0**depth_cap
+            if depth_cap <= _MAX_UINT32_DIGIT_LEVELS:
+                residual = frac.astype(np.uint32)
+                np.minimum(residual, np.uint32((1 << depth_cap) - 1), out=residual)
+                residual <<= np.uint32(32 - depth_cap)  # level-1 bit on top
+            else:
+                digits = frac.astype(np.int64)
+                np.minimum(digits, (np.int64(1) << depth_cap) - 1, out=digits)
+            frac = None
+
+        bind_levels = getattr(get_kernel("csr_group"), "bind_levels", None)
+        if residual is not None and bind_levels is not None:
+            group_level = _bound_level_groups(bind_levels, residual, keys)
+        else:
+            group_level = _numpy_level_groups(
+                keys, residual, digits, frac, depth_cap, self.dimension_
+            )
         for level in range(depth_cap + 1):
-            if level > 0:
-                # Signed integers wrap modulo 2**64 exactly like the uint64
-                # view hash_rows sums in, so the incremental keys are
-                # bit-identical to hashing the doubled lattice.
-                if residual is not None:
-                    np.greater_equal(residual, np.uint32(0x80000000), out=flag_view)
-                    residual <<= np.uint32(1)
-                    packed = np.packbits(
-                        flag_buffer.reshape(-1), bitorder="little"
-                    ).reshape(self.n_points_, padded_width // 8)
-                    np.take(tables[0], packed[:, 0], out=increment)
-                    for byte, lut in enumerate(tables[1:], start=1):
-                        increment += lut[packed[:, byte]]
-                else:
-                    if digits is not None:
-                        np.right_shift(digits, np.int64(depth_cap - level), out=bits)
-                        np.bitwise_and(bits, np.int64(1), out=bits)
-                    else:
-                        flags = frac >= 0.5
-                        np.multiply(frac, 2.0, out=frac)
-                        frac -= flags
-                        bits = flags.astype(np.int64)
-                        multipliers = _hash_multipliers(self.dimension_).view(np.int64)
-                    np.matmul(bits, multipliers, out=increment)
-                np.left_shift(keys, np.uint64(1), out=keys)
-                keys += increment.view(np.uint64)
             with _obs.span("quadtree.level", level=level) as level_span:
-                cell_ids, order, offsets = _csr_group(keys, scratch)
+                cell_ids, order, offsets = group_level(level)
                 level_span.annotate(cells=int(offsets.shape[0] - 1))
             self.level_cell_ids_.append(cell_ids)
             self.level_order_.append(order)
@@ -457,11 +446,12 @@ class QuadtreeEmbedding:
         seed's on-demand Python sums.
         """
         depth = self.depth
+        edges = [self.edge_length(below) for below in range(depth)]
         table = np.zeros(depth + 1, dtype=np.float64)
         for level in range(-1, depth - 1):
             total = 0.0
-            for below in range(level + 1, depth):
-                total += self.edge_length(below)
+            for edge in edges[level + 1 :]:
+                total += edge
             table[level + 1] = 2.0 * total
         self.level_distance_table_ = table
 
@@ -532,6 +522,90 @@ class QuadtreeEmbedding:
     def occupied_cells(self, level: int) -> int:
         """Number of distinct non-empty cells at ``level``."""
         return self.level_offsets_[level].shape[0] - 1
+
+
+def _bound_level_groups(bind_levels: Any, residual: np.ndarray, keys: np.ndarray) -> Any:
+    """Per-level grouping through the compiled tier's fused level step.
+
+    One native call per level advances ``keys``/``residual`` in place and
+    groups the keys; only the level's ``cell_ids``/``order`` and its
+    trimmed ``offsets`` are fresh arrays.
+    """
+    n = keys.shape[0]
+    step = bind_levels(residual, keys, _hash_multipliers(residual.shape[1]))
+    offsets = np.empty(n + 1, dtype=np.int64)
+
+    def group(level: int) -> tuple:
+        cell_ids = np.empty(n, dtype=np.int64)
+        order = np.empty(n, dtype=np.int64)
+        n_cells = step(level > 0, cell_ids, order, offsets)
+        return cell_ids, order, offsets[: n_cells + 1].copy()
+
+    return group
+
+
+def _numpy_level_groups(
+    keys: np.ndarray,
+    residual: Optional[np.ndarray],
+    digits: Optional[np.ndarray],
+    frac: Optional[np.ndarray],
+    depth_cap: int,
+    dimension: int,
+) -> Any:
+    """Per-level grouping with the numpy key step plus :func:`_csr_group`.
+
+    Exactly one of ``residual`` (uint32 digits, depth cap <= 32), ``digits``
+    (int64 digits, <= 62) and ``frac`` (per-level doubling) carries the
+    digit state; ``keys`` and that state advance in place, one level per
+    call with ``level > 0``.
+    """
+    n = keys.shape[0]
+    scratch = _csr_scratch(n)
+    increment = np.empty(n, dtype=np.int64)
+    multipliers = _hash_multipliers(dimension).view(np.int64)
+    if residual is not None:
+        # The key increment is one byte-table lookup per 8 coordinates
+        # (``np.packbits`` row patterns).  Byte-aligned flag rows let
+        # packbits run over one flat stream (the per-row path is ~50x
+        # slower for narrow inputs); the pad columns stay zero so the final
+        # byte patterns are unaffected.
+        tables = _pattern_tables(dimension)
+        padded_width = (dimension + 7) // 8 * 8
+        flag_buffer = np.zeros((n, padded_width), dtype=bool)
+        flag_view = flag_buffer[:, :dimension]
+    elif digits is not None:
+        bits = np.empty_like(digits)
+
+    def group(level: int) -> tuple:
+        if level > 0:
+            # Signed integers wrap modulo 2**64 exactly like the uint64
+            # view hash_rows sums in, so the incremental keys are
+            # bit-identical to hashing the doubled lattice.
+            if residual is not None:
+                np.greater_equal(residual, np.uint32(0x80000000), out=flag_view)
+                np.left_shift(residual, np.uint32(1), out=residual)
+                packed = np.packbits(flag_buffer.reshape(-1), bitorder="little").reshape(
+                    n, padded_width // 8
+                )
+                np.take(tables[0], packed[:, 0], out=increment)
+                for byte, lut in enumerate(tables[1:], start=1):
+                    np.add(increment, lut[packed[:, byte]], out=increment)
+            else:
+                if digits is not None:
+                    np.right_shift(digits, np.int64(depth_cap - level), out=bits)
+                    np.bitwise_and(bits, np.int64(1), out=bits)
+                    level_bits = bits
+                else:
+                    flags = frac >= 0.5
+                    np.multiply(frac, 2.0, out=frac)
+                    np.subtract(frac, flags, out=frac)
+                    level_bits = flags.astype(np.int64)
+                np.matmul(level_bits, multipliers, out=increment)
+            np.left_shift(keys, np.uint64(1), out=keys)
+            np.add(keys, increment.view(np.uint64), out=keys)
+        return _csr_group(keys, scratch)
+
+    return group
 
 
 def _csr_scratch(n: int) -> tuple:

@@ -28,7 +28,12 @@ Threading: ctypes releases the GIL around every call and the kernels use
 only stack and caller-provided memory, so concurrent quadtree fits on the
 async thread executor are safe.  The Python wrappers keep their work
 buffers in ``threading.local`` storage — reused across calls on the same
-thread, never shared between threads.
+thread, never shared between threads.  The bound closures
+(``csr_group.bind_levels``, ``fkpp_level_score.bind``,
+``fkpp_weighted_draw.bind``) pin their pointers once and keep every pinned
+array alive for their own lifetime; the level step pins the binding
+thread's grouping buffers, so it must be called on the thread that bound
+it.
 """
 
 from __future__ import annotations
@@ -266,6 +271,48 @@ radix_path:
             memcpy(order, order_scratch, (size_t)n * sizeof(int64_t));
         return n_cells;
     }
+}
+
+/* One quadtree level: the incremental key step fused with the grouping.
+ *
+ * With `advance` set, every point's key moves one level down first:
+ * residual[n][d] holds the remaining binary digits of each fractional
+ * coordinate left-aligned in a uint32 (the next level's bit on top), so
+ *
+ *     key' = 2 * key + sum_j (residual[i][j] >> 31) * multipliers[j]
+ *
+ * in wrapping uint64 arithmetic -- the exact mod-2^64 multiply-add of the
+ * numpy step, whose terms commute -- and each residual word shifts left
+ * by one.  Then keys are grouped exactly as repro_csr_group_u64 does,
+ * into the same caller-allocated outputs and work arrays.  Returns the
+ * number of distinct keys. */
+int64_t repro_quadtree_level_step(uint64_t *keys, uint32_t *residual,
+                                  const uint64_t *multipliers, int64_t n,
+                                  int64_t d, int advance, int64_t *cell_ids,
+                                  int64_t *order, int64_t *offsets,
+                                  int64_t *order_scratch, uint64_t *shadow,
+                                  uint64_t *shadow_scratch,
+                                  int64_t *slot_index, int64_t *aux,
+                                  uint64_t *hash_keys, int64_t *hash_payload,
+                                  int64_t table_size)
+{
+    if (advance) {
+        int64_t i, j;
+        for (i = 0; i < n; ++i) {
+            uint32_t *row = residual + i * d;
+            uint64_t increment = 0;
+            for (j = 0; j < d; ++j) {
+                /* 0 - bit is all ones or zero: a branchless bit * m_j */
+                increment += multipliers[j] & (0 - (uint64_t)(row[j] >> 31));
+                row[j] <<= 1;
+            }
+            keys[i] = (keys[i] << 1) + increment;
+        }
+    }
+    return repro_csr_group_u64(keys, n, cell_ids, order, offsets,
+                               order_scratch, shadow, shadow_scratch,
+                               slot_index, aux, hash_keys, hash_payload,
+                               table_size);
 }
 
 /* ------------------------------------------------------------------ lloyd */
@@ -812,6 +859,16 @@ def load_kernels() -> Dict[str, Callable]:
         pu64, i64, pi64, pi64, pi64, pi64, pu64, pu64, pi64, pi64, pu64, pi64, i64,
     ]
 
+    # Raw-pointer argtypes: reached only through ``_bind_levels`` below,
+    # which validates and pins every array once per fit (see ``_fkpp_bind``
+    # for why per-call ndpointer validation is too slow here).
+    vp = ctypes.c_void_p
+    level_step = library.repro_quadtree_level_step
+    level_step.restype = i64
+    level_step.argtypes = [
+        vp, vp, vp, i64, i64, i32, vp, vp, vp, vp, vp, vp, vp, vp, vp, vp, i64,
+    ]
+
     refresh = library.repro_lloyd_refresh_bounds
     refresh.restype = i64
     refresh.argtypes = [pf64, pf64, pi64, i64, i64, f64, f64, pf64, pf64, pf64, pi64]
@@ -908,6 +965,74 @@ def load_kernels() -> Dict[str, Callable]:
             table_size,
         )
         return cell_ids, order, offsets[: n_cells + 1].copy()
+
+    def _bind_levels(
+        residual: np.ndarray, keys: np.ndarray, multipliers: np.ndarray
+    ) -> Callable:
+        """Build a fit-lifetime level step over one quadtree's key state.
+
+        ``residual`` is the ``(n, d)`` uint32 digit residual (next level's
+        bit on top), ``keys`` the current level's uint64 keys and
+        ``multipliers`` the ``d`` uint64 hash multipliers.  Every pointer,
+        the grouping work buffers of the calling thread included, is pinned
+        here once; the returned ``step(advance, cell_ids, order, offsets)``
+        advances ``keys``/``residual`` one level in place when ``advance``
+        is true, groups the keys into the caller's ``cell_ids``/``order``
+        (length ``n``) and ``offsets`` (length ``n + 1``), and returns the
+        number of cells.  The closure keeps every pinned array alive, and
+        must be called on the thread that bound it: the work buffers are
+        that thread's.
+        """
+        if residual.dtype != np.uint32 or residual.ndim != 2 or not residual.flags["C_CONTIGUOUS"]:
+            raise ValueError("level residual must be a contiguous (n, d) uint32 array")
+        n, d = residual.shape
+        if keys.dtype != np.uint64 or keys.shape != (n,) or not keys.flags["C_CONTIGUOUS"]:
+            raise ValueError("level keys must be a contiguous uint64 array of length n")
+        if (
+            multipliers.dtype != np.uint64
+            or multipliers.shape != (d,)
+            or not multipliers.flags["C_CONTIGUOUS"]
+        ):
+            raise ValueError("level multipliers must be a contiguous uint64 array of length d")
+        table_size = _hash_table_size(n)
+        work = (
+            _scratch("order_scratch", n, np.int64),
+            _scratch("shadow", n, np.uint64),
+            _scratch("shadow_scratch", n, np.uint64),
+            _scratch("slot_index", n, np.int64),
+            _scratch("aux", n, np.int64),
+            _scratch("hash_keys", table_size, np.uint64),
+            _scratch("hash_payload", table_size, np.int64),
+        )
+        keep = (residual, keys, multipliers, work)
+        pinned = (keys.ctypes.data, residual.ctypes.data, multipliers.ctypes.data, n, d)
+        p_work = tuple(array.ctypes.data for array in work)
+
+        def step(
+            advance: bool,
+            cell_ids: np.ndarray,
+            order: np.ndarray,
+            offsets: np.ndarray,
+            _keep=keep,
+        ) -> int:
+            if cell_ids.shape[0] < n or order.shape[0] < n or offsets.shape[0] <= n:
+                raise ValueError("level step outputs are shorter than the bound keys")
+            for array in (cell_ids, order, offsets):
+                if array.dtype != np.int64 or not array.flags["C_CONTIGUOUS"]:
+                    raise ValueError("level step outputs must be contiguous int64")
+            return level_step(
+                *pinned,
+                1 if advance else 0,
+                cell_ids.ctypes.data,
+                order.ctypes.data,
+                offsets.ctypes.data,
+                *p_work,
+                table_size,
+            )
+
+        return step
+
+    csr_group_u64.bind_levels = _bind_levels
 
     def lloyd_refresh_bounds(
         points: np.ndarray,

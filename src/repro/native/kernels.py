@@ -10,9 +10,12 @@ Seven kernels ride the compiled tier:
 ``csr_group``
     The whole grouping body of :func:`repro.geometry.quadtree._csr_group`
     fused into one call — sort, boundary detection, rank labelling, CSR
-    offsets — plus a hash fast path for duplicate-heavy levels.  No
-    registered fallback: in fallback mode the quadtree keeps its inline
-    numpy pipeline.
+    offsets — plus a hash fast path for duplicate-heavy levels.  A provider
+    may also expose ``bind_levels``: a fit-lifetime step that applies the
+    quadtree's incremental key update and then groups, one call per level.
+    The verifier checks that step too, so a wrong one forfeits the whole
+    kernel.  No registered fallback: in fallback mode the quadtree keeps its
+    inline numpy key step and grouping pipeline.
 
 ``lloyd_refresh_bounds`` / ``lloyd_candidate_eval`` / ``lloyd_update_sums``
     The warm-phase loop of the pruned Lloyd engine
@@ -85,6 +88,23 @@ def _reference_csr_group(keys: np.ndarray) -> tuple:
     offsets[:-1] = boundaries
     offsets[-1] = n
     return cell_ids, order, offsets
+
+
+def _reference_key_step(
+    residual: np.ndarray, keys: np.ndarray, multipliers: np.ndarray
+) -> None:
+    """The quadtree's incremental key step, in place, with plain numpy ops.
+
+    ``key' = 2 * key + sum_j bit_j * multiplier_j`` modulo ``2**64``, where
+    ``bit_j`` is the top bit of the uint32 digit residual, which then shifts
+    left by one.  The quadtree's packbits/LUT form computes the same sum.
+    """
+    bits = (residual >> np.uint32(31)).astype(np.uint64)
+    residual <<= np.uint32(1)
+    with np.errstate(over="ignore"):
+        increment = (bits * multipliers[None, :]).sum(axis=1, dtype=np.uint64)
+    keys <<= np.uint64(1)
+    keys += increment
 
 
 def reference_candidate_eval(
@@ -298,6 +318,49 @@ def _verify_csr_group(kernel) -> None:
         for name, have, want in zip(("cell_ids", "order", "offsets"), produced, expected):
             if not np.array_equal(np.asarray(have, dtype=np.int64), want):
                 raise RuntimeError(f"csr grouping disagrees with numpy on {name}")
+    # A provider may also serve the quadtree's whole level (key step fused
+    # with the grouping) through ``bind_levels``; when it does, that step is
+    # part of this kernel's contract and a wrong one forfeits the kernel.
+    binder = getattr(kernel, "bind_levels", None)
+    if binder is None:
+        return
+    for n, d, pool in ((300, 10, 7), (300, 9, 37), (300, 7, 38), (300, 17, 300), (2, 1, 2), (3, 8, 1)):
+        residual, keys, multipliers = _level_step_case(rng, n, d, pool)
+        bound_residual, bound_keys = residual.copy(), keys.copy()
+        step = binder(bound_residual, bound_keys, multipliers)
+        offsets = np.empty(n + 1, dtype=np.int64)
+        for level in range(34):  # the residual runs dry after 32 advances
+            if level > 0:
+                _reference_key_step(residual, keys, multipliers)
+            cell_ids = np.empty(n, dtype=np.int64)
+            order = np.empty(n, dtype=np.int64)
+            n_cells = int(step(level > 0, cell_ids, order, offsets))
+            produced = (cell_ids, order, offsets[: n_cells + 1])
+            if not (
+                np.array_equal(bound_keys, keys)
+                and np.array_equal(bound_residual, residual)
+                and all(map(np.array_equal, produced, _reference_csr_group(keys)))
+            ):
+                raise RuntimeError(
+                    "bound level step disagrees with the numpy key step "
+                    f"(n={n}, d={d}, level={level})"
+                )
+
+
+def _level_step_case(rng: np.random.Generator, n: int, d: int, pool: int) -> tuple:
+    """A quadtree-shaped key state: ``(residual, keys, multipliers)``.
+
+    The ``n`` rows repeat exactly ``pool`` distinct (key, residual) rows in
+    shuffled order, so barring 64-bit collisions every level has ``pool``
+    distinct keys: a small pool is duplicate-heavy (the grouping's hash
+    path), ``pool`` at ``n / 8`` straddles its abort threshold, and
+    ``pool == n`` is all distinct.
+    """
+    pick = rng.permutation(np.arange(n) % pool)
+    residual = rng.integers(0, 2**32, size=(pool, d), dtype=np.uint32)[pick]
+    keys = rng.integers(0, np.iinfo(np.uint64).max, size=pool, dtype=np.uint64)[pick]
+    multipliers = rng.integers(0, 2**63, size=d, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    return np.ascontiguousarray(residual), np.ascontiguousarray(keys), multipliers
 
 
 def _verify_refresh_bounds(kernel) -> None:

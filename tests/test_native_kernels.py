@@ -5,7 +5,7 @@ Three layers of coverage:
 * **Kernel contracts** — every native kernel is compared bit-for-bit against
   a live numpy oracle (the same expressions the engine's fallback path
   evaluates), including Hypothesis-generated adversarial inputs for the
-  radix argsort and the CSR grouping kernel.
+  radix argsort, the CSR grouping kernel and its bound quadtree level step.
 * **Tier control** — ``native_status()`` introspection, the ``use_native``
   override, and the behaviour of :func:`repro.native.get_kernel` in
   fallback mode.
@@ -44,7 +44,8 @@ from repro.native import (
     reference_fkpp_weighted_draw,
     use_native,
 )
-from repro.native.kernels import _reference_csr_group
+from repro.native import registry
+from repro.native.kernels import _level_step_case, _reference_csr_group, _reference_key_step
 
 SETTINGS = settings(
     max_examples=25,
@@ -55,6 +56,11 @@ SETTINGS = settings(
 requires_native = pytest.mark.skipif(
     native_status()["tier"] != "native",
     reason="no native kernel provider available (numba/cc)",
+)
+
+requires_level_step = pytest.mark.skipif(
+    getattr(get_kernel("csr_group"), "bind_levels", None) is None,
+    reason="the serving csr_group provider has no bind_levels step",
 )
 
 uint64_keys = arrays(
@@ -158,6 +164,85 @@ class TestCsrGroupKernel:
             fallback = _csr_group(keys)
         for have, want in zip(native, fallback):
             np.testing.assert_array_equal(have, want)
+
+
+#: Distinct-row pools per key shape (see ``_level_step_case``): one row
+#: repeated, ``n / 8`` rows give or take one (the hash path's abort
+#: threshold), and ``n`` rows.
+_POOLS = {
+    "duplicate-heavy": lambda n, nudge: 1 + n // 60,
+    "near-threshold": lambda n, nudge: max(1, n // 8 + nudge),
+    "all-distinct": lambda n, nudge: n,
+}
+
+
+@requires_level_step
+class TestBoundLevelStep:
+    """The fused key-step-plus-grouping call vs the numpy key step."""
+
+    @SETTINGS
+    @given(
+        d=st.sampled_from([1, 7, 8, 9, 10, 17]),
+        n=st.sampled_from([2, 3, 300]),
+        shape=st.sampled_from(sorted(_POOLS)),
+        nudge=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_key_step_level_by_level(self, d, n, shape, nudge, seed):
+        rng = np.random.default_rng(seed)
+        residual, keys, multipliers = _level_step_case(rng, n, d, _POOLS[shape](n, nudge))
+        bound_residual, bound_keys = residual.copy(), keys.copy()
+        step = get_kernel("csr_group").bind_levels(bound_residual, bound_keys, multipliers)
+        offsets = np.empty(n + 1, dtype=np.int64)
+        for level in range(34):  # two levels past the residual running dry
+            if level > 0:
+                _reference_key_step(residual, keys, multipliers)
+            cell_ids = np.empty(n, dtype=np.int64)
+            order = np.empty(n, dtype=np.int64)
+            n_cells = step(level > 0, cell_ids, order, offsets)
+            np.testing.assert_array_equal(bound_keys, keys)
+            np.testing.assert_array_equal(bound_residual, residual)
+            produced = (cell_ids, order, offsets[: n_cells + 1])
+            for name, have, want in zip(
+                ("cell_ids", "order", "offsets"), produced, _reference_csr_group(keys)
+            ):
+                np.testing.assert_array_equal(have, want, err_msg=f"{name} at level {level}")
+
+    @pytest.mark.parametrize(
+        "variant,served",
+        [("faithful", True), ("without-bind-levels", True), ("skips-key-update", False)],
+    )
+    def test_wrong_level_step_forfeits_csr_group(self, variant, served):
+        real = get_kernel("csr_group")
+
+        def provided(keys):
+            return real(keys)
+
+        if variant == "faithful":
+            provided.bind_levels = real.bind_levels
+        elif variant == "skips-key-update":
+
+            def bind_levels(residual, keys, multipliers):
+                step = real.bind_levels(residual, keys, multipliers)
+                return lambda advance, *outputs: step(False, *outputs)
+
+            provided.bind_levels = bind_levels
+        saved = registry._PROVIDERS
+        try:
+            registry.register_provider("level-step-probe", lambda: {"csr_group": provided})
+            with use_native("level-step-probe"):
+                assert kernel_provider("csr_group") == (
+                    "level-step-probe" if served else "fallback"
+                )
+                reason = native_status()["providers"]["level-step-probe"]["reason"]
+                if served:
+                    assert reason is None
+                else:
+                    assert "'csr_group' failed verification" in reason
+                    assert get_kernel("csr_group") is None
+        finally:
+            registry._PROVIDERS = saved
+            registry.refresh()
 
 
 @requires_native
@@ -519,3 +604,25 @@ class TestCrossModeBitIdentity:
             np.testing.assert_array_equal(
                 native.level_cell_ids_[level], fallback.level_cell_ids_[level]
             )
+
+    @pytest.mark.parametrize("max_levels", range(1, 33))
+    def test_duplicate_heavy_fit_to_depth_cap_identical(self, max_levels):
+        # 40 distinct rows repeated over 400 points: no level is ever all
+        # singletons, so every fit runs to its depth cap (a huge spread
+        # makes the cap max_levels) — the whole uint32-digit range.
+        rng = np.random.default_rng(max_levels)
+        points = (rng.normal(size=(40, 6)) * 100.0)[rng.integers(0, 40, size=400)]
+
+        def fit():
+            return QuadtreeEmbedding(max_levels=max_levels, seed=max_levels, spread=2.0**40).fit(points)
+
+        native = fit()
+        with use_native(False):
+            fallback = fit()
+        assert native.depth == fallback.depth == max_levels + 1
+        np.testing.assert_array_equal(native.level_distance_table_, fallback.level_distance_table_)
+        for level in range(native.depth):
+            for stored in ("level_cell_ids_", "level_order_", "level_offsets_"):
+                np.testing.assert_array_equal(
+                    getattr(native, stored)[level], getattr(fallback, stored)[level]
+                )
